@@ -873,15 +873,12 @@ fn parchar() {
     let stim = ComparatorStimulus::default();
     let tstop = 60.0e-6;
     const LU_REPS: usize = 7;
-    let lu_run = |force_sparse: bool, reuse: bool| {
+    let lu_run = |reuse: bool| {
         let mut best = f64::INFINITY;
         let mut stats = None;
         for _ in 0..LU_REPS {
             let (mut ckt, _) =
                 behavioural_comparator_circuit_with(&stim, FasBackend::Vm).expect("bench builds");
-            if force_sparse {
-                ckt.options.sparse_threshold = 1;
-            }
             ckt.options.reuse_lu = reuse;
             let t0 = Instant::now();
             let r = ckt.tran(&TranSpec::new(tstop)).expect("tran runs");
@@ -890,9 +887,8 @@ fn parchar() {
         }
         (best, stats.expect("at least one repetition"))
     };
-    let (t_off, s_off) = lu_run(true, false);
-    let (t_on, s_on) = lu_run(true, true);
-    let (t_dense, _) = lu_run(false, true);
+    let (t_off, s_off) = lu_run(false);
+    let (t_on, s_on) = lu_run(true);
     assert_eq!(
         s_off.newton_iterations, s_on.newton_iterations,
         "LU reuse must not change the Newton trajectory"
@@ -900,7 +896,7 @@ fn parchar() {
     let speedup_lu = t_off / t_on;
     println!(
         "\n{:<30} {:>10} {:>8} {:>10}",
-        "sparse backend (threshold=1)", "time [s]", "factor", "refactor"
+        "sparse LU", "time [s]", "factor", "refactor"
     );
     println!(
         "{:<30} {:>10.4} {:>8} {:>10}",
@@ -911,8 +907,7 @@ fn parchar() {
         "numeric refactorization reuse", t_on, s_on.factorizations, s_on.refactorizations
     );
     println!(
-        "LU-reuse speedup: {speedup_lu:.2}x ({} Newton iterations; \
-         dense default path for context: {t_dense:.4} s)",
+        "LU-reuse speedup: {speedup_lu:.2}x ({} Newton iterations)",
         s_on.newton_iterations
     );
 
@@ -925,8 +920,7 @@ fn parchar() {
          \"lu_reuse_off_s\": {t_off:.6},\n  \"lu_reuse_on_s\": {t_on:.6},\n  \
          \"speedup_lu_reuse\": {speedup_lu:.4},\n  \"factorizations\": {},\n  \
          \"refactorizations\": {},\n  \"newton_iterations\": {},\n  \
-         \"accepted_steps\": {},\n  \"rejected_steps\": {},\n  \"tran_wall_s\": {:.6},\n  \
-         \"dense_default_s\": {t_dense:.6}\n}}\n",
+         \"accepted_steps\": {},\n  \"rejected_steps\": {},\n  \"tran_wall_s\": {:.6}\n}}\n",
         times[&1],
         times[&2],
         times[&4],
@@ -996,6 +990,7 @@ fn traceov() {
         + attempts                                      // sim.tran.step spans
         + 2 * (attempts + 1)                            // sim.newton spans + iteration counters
         + stats.factorizations + stats.refactorizations // LU counters
+        + stats.factorizations // pattern-growth counter (at most one per full LU)
         + attempts) as f64; // accepted/rejected counters
     let overhead_disabled_pct = probes_per_run * ns_per_probe / (t_disabled * 1e9) * 100.0;
 

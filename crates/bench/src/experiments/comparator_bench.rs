@@ -222,4 +222,26 @@ mod tests {
             "expected the transistor circuit to cost more: beh {work_beh}, cmos {work_cmos}"
         );
     }
+
+    /// The fixed-pattern assembly factors each comparator from scratch only
+    /// when its matrix pattern grows: the operating point's first solve,
+    /// plus (CMOS) at most one pivot fallback. Everything else, gmin and
+    /// source stepping included, is a numeric refactorization.
+    #[test]
+    fn op_plus_transient_needs_at_most_two_full_factorizations() {
+        let stim = ComparatorStimulus::default();
+        let spec = TranSpec::new(60.0e-6);
+        let (mut beh, _) = behavioural_comparator_circuit(&stim).unwrap();
+        let rb = beh.tran(&spec).unwrap();
+        assert_eq!(rb.stats.factorizations, 1, "{:?}", rb.stats);
+        let (mut cmos, _) = cmos_comparator_circuit(&stim).unwrap();
+        let rc = cmos.tran(&spec).unwrap();
+        assert!(rc.stats.factorizations <= 2, "{:?}", rc.stats);
+        for stats in [rb.stats, rc.stats] {
+            assert_eq!(
+                stats.factorizations + stats.refactorizations,
+                stats.newton_iterations
+            );
+        }
+    }
 }

@@ -149,6 +149,27 @@ impl SparseMatrix {
         }
     }
 
+    /// Slot of the structural entry `(row, col)` in [`SparseMatrix::values`],
+    /// found by scanning that column's row list; `None` if absent.
+    pub fn position(&self, row: usize, col: usize) -> Option<usize> {
+        let lo = self.col_ptr[col];
+        self.row_idx[lo..self.col_ptr[col + 1]]
+            .iter()
+            .position(|&r| r == row)
+            .map(|k| lo + k)
+    }
+
+    /// Value of every structural entry, column-major.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Mutable values; the structural pattern stays fixed, so a caller can
+    /// reassemble a matrix in place.
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
     /// Column pointer array of the CSC layout (`cols + 1` entries).
     pub fn col_ptr(&self) -> &[usize] {
         &self.col_ptr
@@ -161,12 +182,9 @@ impl SparseMatrix {
 
     /// `true` if `other` has exactly the same dimensions and structural
     /// pattern (column pointers and row indices); values are ignored.
-    ///
-    /// MNA assembly pushes a triplet for every stamp position on every
-    /// Newton iteration — including explicit zeros — so the pattern of a
-    /// circuit matrix is stable across iterations and time steps. This
-    /// check is what lets [`crate::SparseLu::refactor`] reuse a symbolic
-    /// analysis safely.
+    /// Explicit zeros are structural, so two value sets assembled at the
+    /// same stamp positions share a pattern — the condition under which
+    /// [`crate::SparseLu::refactor`] can reuse a symbolic analysis.
     pub fn same_pattern(&self, other: &SparseMatrix) -> bool {
         self.rows == other.rows
             && self.cols == other.cols
@@ -217,6 +235,18 @@ impl SparseMatrix {
             0.0
         } else {
             self.nnz() as f64 / (self.rows as f64 * self.cols as f64)
+        }
+    }
+}
+
+impl std::ops::Index<(usize, usize)> for SparseMatrix {
+    type Output = f64;
+
+    /// Entry `(row, col)`; structurally absent entries read as `0.0`.
+    fn index(&self, (row, col): (usize, usize)) -> &f64 {
+        match self.position(row, col) {
+            Some(k) => &self.values[k],
+            None => &0.0,
         }
     }
 }
@@ -284,6 +314,22 @@ mod tests {
         let y = m.mul_vec(&[1.0, 1.0, 1.0]).unwrap();
         assert_eq!(y, vec![3.0, 3.0]);
         assert!(m.mul_vec(&[1.0]).is_err());
+    }
+
+    #[test]
+    fn position_values_and_index() {
+        let mut b = TripletBuilder::new(3, 2);
+        b.push(2, 0, 4.0);
+        b.push(0, 0, 1.0);
+        b.push(1, 1, 0.0);
+        let mut m = b.to_csc();
+        assert_eq!(m.position(2, 0), Some(1));
+        assert_eq!(m.position(1, 1), Some(2));
+        assert_eq!(m.position(1, 0), None);
+        m.values_mut()[2] += 5.0;
+        assert_eq!(m.values(), &[1.0, 4.0, 5.0]);
+        assert_eq!(m[(1, 1)], 5.0);
+        assert_eq!(m[(2, 1)], 0.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Left-looking (Gilbert–Peierls) sparse LU factorization with partial
 //! pivoting, plus KLU-style numeric refactorization.
 //!
-//! The simulator uses the dense solver for small systems and switches to this
-//! factorization above a node-count threshold; the `dense vs sparse` ablation
-//! bench quantifies the crossover on ladder networks.
+//! This is the simulator's only real-valued solver: every DC and transient
+//! Newton iteration, whatever the circuit size, factors through it (the
+//! dense [`crate::LuFactor`] serves complex AC solves and test oracles).
 //!
 //! A Newton loop refactors the *same* sparsity pattern every iteration —
 //! only the values change. [`SparseLu::new`] therefore records the input
@@ -12,6 +12,8 @@
 //! [`SparseLu::refactor`] can replay the numeric sweep against the frozen
 //! pivot order without redoing the symbolic reachability analysis or the
 //! pivot search, and without reallocating the factors.
+//! [`SparseLu::refactor_values`] and [`SparseLu::solve_into`] do the same
+//! against caller-owned buffers, so a Newton iteration allocates nothing.
 
 use crate::sparse::SparseMatrix;
 use crate::NumericError;
@@ -248,10 +250,40 @@ impl SparseLu {
                 "sparsity pattern differs from the factored matrix".into(),
             ));
         }
-        let mut work = vec![0.0f64; self.n];
+        self.refactor_values(a.values(), &mut vec![0.0; self.n])
+    }
+
+    /// [`SparseLu::refactor`] without the pattern check or any allocation:
+    /// `values` holds the new matrix entries in the column-major order of
+    /// the factored matrix's pattern, and `work` is caller-owned scratch of
+    /// length `dim()` that must be all zeros on entry and is all zeros
+    /// again on return.
+    ///
+    /// # Errors
+    ///
+    /// * [`NumericError::DimensionMismatch`] if `values` or `work` has the
+    ///   wrong length.
+    /// * [`NumericError::Singular`] as for [`SparseLu::refactor`].
+    pub fn refactor_values(
+        &mut self,
+        values: &[f64],
+        work: &mut [f64],
+    ) -> Result<(), NumericError> {
+        if values.len() != self.a_row_idx.len() {
+            return Err(NumericError::DimensionMismatch {
+                expected: self.a_row_idx.len(),
+                found: values.len(),
+            });
+        }
+        if work.len() != self.n {
+            return Err(NumericError::DimensionMismatch {
+                expected: self.n,
+                found: work.len(),
+            });
+        }
         for col in 0..self.n {
-            for (row, v) in a.col_iter(col) {
-                work[row] = v;
+            for k in self.a_col_ptr[col]..self.a_col_ptr[col + 1] {
+                work[self.a_row_idx[k]] = values[k];
             }
             let (ulo, uhi) = (self.u_col_ptr[col], self.u_col_ptr[col + 1]);
             // Replay the elimination in the stored topological order; the
@@ -261,6 +293,7 @@ impl SparseLu {
                 let pos = self.u_row_idx[k];
                 let r = self.perm[pos];
                 let xr = work[r];
+                work[r] = 0.0;
                 self.u_values[k] = xr;
                 if xr == 0.0 {
                     continue;
@@ -271,7 +304,9 @@ impl SparseLu {
             }
             let pivot_row = self.perm[col];
             let pivot_val = work[pivot_row];
+            work[pivot_row] = 0.0;
             if pivot_val.abs() < PIVOT_EPS {
+                work.fill(0.0);
                 return Err(NumericError::Singular { pivot: col });
             }
             self.u_values[uhi - 1] = pivot_val;
@@ -280,10 +315,6 @@ impl SparseLu {
                 self.l_values[i] = work[r] / pivot_val;
                 work[r] = 0.0;
             }
-            for k in ulo..uhi - 1 {
-                work[self.perm[self.u_row_idx[k]]] = 0.0;
-            }
-            work[pivot_row] = 0.0;
         }
         Ok(())
     }
@@ -304,15 +335,36 @@ impl SparseLu {
     ///
     /// Returns [`NumericError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericError> {
-        if b.len() != self.n {
-            return Err(NumericError::DimensionMismatch {
-                expected: self.n,
-                found: b.len(),
-            });
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut vec![0.0; self.n], &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` into `x` without allocating; `scratch` is any
+    /// caller-owned buffer of length `dim()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericError::DimensionMismatch`] if `b`, `scratch` or `x`
+    /// is not of length `dim()`.
+    pub fn solve_into(
+        &self,
+        b: &[f64],
+        scratch: &mut [f64],
+        x: &mut [f64],
+    ) -> Result<(), NumericError> {
+        for len in [b.len(), scratch.len(), x.len()] {
+            if len != self.n {
+                return Err(NumericError::DimensionMismatch {
+                    expected: self.n,
+                    found: len,
+                });
+            }
         }
         // Forward solve L·y = b. L's column k eliminates into original row
         // indices; track the solution on original rows.
-        let mut y = b.to_vec();
+        let y = scratch;
+        y.copy_from_slice(b);
         for k in 0..self.n {
             let yk = y[self.perm[k]];
             if yk == 0.0 {
@@ -324,7 +376,9 @@ impl SparseLu {
             }
         }
         // Gather into pivotal order.
-        let mut x: Vec<f64> = (0..self.n).map(|k| y[self.perm[k]]).collect();
+        for (xk, &row) in x.iter_mut().zip(&self.perm) {
+            *xk = y[row];
+        }
         // Backward solve U·x = y. U columns have the diagonal last.
         for k in (0..self.n).rev() {
             let (lo, hi) = (self.u_col_ptr[k], self.u_col_ptr[k + 1]);
@@ -338,7 +392,7 @@ impl SparseLu {
                 x[self.u_row_idx[i]] -= self.u_values[i] * xk;
             }
         }
-        Ok(x)
+        Ok(())
     }
 }
 
@@ -440,13 +494,7 @@ mod tests {
         // Diagonally dominant systems keep the pivot order stable, so a
         // numeric-only refactorization must reproduce a fresh
         // factorization bit for bit (same operations, same order).
-        let mut state = 0x1994_2026_abcd_ef01u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
+        let mut next = uniform(0x1994_2026_abcd_ef01);
         for n in [4usize, 9, 17] {
             // One structural pattern, two value sets.
             let mut coords: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
@@ -484,6 +532,152 @@ mod tests {
             let xf = fresh.solve(&rhs).unwrap();
             assert_eq!(bits(&xr), bits(&xf), "n={n}: solutions differ");
         }
+    }
+
+    /// Seeded xorshift source of values in `[-0.5, 0.5)`.
+    fn uniform(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        }
+    }
+
+    /// A random MNA-like system: `nodes` node rows with a symmetric,
+    /// diagonally dominant conductance block, then `branches` voltage
+    /// source rows that tie distinct nodes (`branches <= nodes`) to
+    /// ground — their diagonal is structurally zero, so they need
+    /// off-diagonal pivots.
+    fn mna_like(next: &mut dyn FnMut() -> f64, nodes: usize, branches: usize) -> TripletBuilder {
+        let n = nodes + branches;
+        let mut t = TripletBuilder::new(n, n);
+        for i in 0..nodes {
+            t.push(i, i, 1e-3 * (1.5 + next()));
+            for j in 0..i {
+                if next() > 0.2 {
+                    let g = 1e-3 * (1.0 + next());
+                    t.push(i, i, g);
+                    t.push(j, j, g);
+                    t.push(i, j, -g);
+                    t.push(j, i, -g);
+                }
+            }
+        }
+        for b in 0..branches {
+            let node = nodes - 1 - b;
+            t.push(node, nodes + b, 1.0);
+            t.push(nodes + b, node, 1.0);
+            t.push(nodes + b, nodes + b, 0.0);
+        }
+        t
+    }
+
+    #[test]
+    fn in_place_refactor_and_solve_are_bitwise_equal_to_fresh() {
+        let mut next = uniform(0x5eed_0007_1994_0001);
+        for (nodes, branches) in [(4usize, 1usize), (12, 3), (17, 2), (60, 8)] {
+            let n = nodes + branches;
+            let a1 = mna_like(&mut next, nodes, branches).to_csc();
+            let mut a2 = a1.clone();
+            for v in a2.values_mut() {
+                if *v != 0.0 && v.abs() != 1.0 {
+                    *v *= 1.0 + 0.1 * next();
+                }
+            }
+            let (mut work, mut scratch, mut x) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            let mut reused = SparseLu::new(&a1).unwrap();
+            reused.refactor_values(a2.values(), &mut work).unwrap();
+            assert!(work.iter().all(|&w| w == 0.0), "work left dirty");
+            let rhs: Vec<f64> = (0..n).map(|_| next()).collect();
+            reused.solve_into(&rhs, &mut scratch, &mut x).unwrap();
+
+            let fresh = SparseLu::new(&a2).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(reused.perm, fresh.perm, "n={n}: pivot order drifted");
+            assert_eq!(bits(&reused.l_values), bits(&fresh.l_values), "n={n}: L");
+            assert_eq!(bits(&reused.u_values), bits(&fresh.u_values), "n={n}: U");
+            assert_eq!(bits(&x), bits(&fresh.solve(&rhs).unwrap()), "n={n}: x");
+        }
+    }
+
+    #[test]
+    fn in_place_path_matches_dense_lu_on_mna_like_systems() {
+        use crate::dense::DenseMatrix;
+        use crate::lu::LuFactor;
+        let mut next = uniform(0x0bad_cafe_2026_0417);
+        let norm = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        for trial in 0..40 {
+            let (nodes, branches) = (3 + trial % 20, 1 + trial % 5);
+            let n = nodes + branches;
+            let pattern = mna_like(&mut next, nodes, branches).to_csc();
+            // Refactor onto new values of the same pattern, as Newton does.
+            let mut a = pattern.clone();
+            for v in a.values_mut() {
+                if *v != 0.0 && v.abs() != 1.0 {
+                    *v *= 1.0 + 0.2 * next();
+                }
+            }
+            let mut lu = SparseLu::new(&pattern).unwrap();
+            let (mut work, mut scratch, mut xs) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            lu.refactor_values(a.values(), &mut work).unwrap();
+            let rhs: Vec<f64> = (0..n).map(|_| next()).collect();
+            lu.solve_into(&rhs, &mut scratch, &mut xs).unwrap();
+
+            let mut dense = DenseMatrix::zeros(n, n);
+            for col in 0..n {
+                for (row, v) in a.col_iter(col) {
+                    dense[(row, col)] = v;
+                }
+            }
+            let xd = LuFactor::new(&dense).unwrap().solve(&rhs).unwrap();
+            let diff: Vec<f64> = xs.iter().zip(&xd).map(|(s, d)| s - d).collect();
+            let rel = norm(&diff) / norm(&xd);
+            assert!(
+                rel <= 1e-12,
+                "trial {trial} (n={n}): relative difference {rel:e}"
+            );
+            let r: Vec<f64> = a
+                .mul_vec(&xs)
+                .unwrap()
+                .iter()
+                .zip(&rhs)
+                .map(|(ax, b)| ax - b)
+                .collect();
+            assert!(norm(&r) <= 1e-12 * norm(&rhs), "trial {trial}: residual");
+        }
+    }
+
+    #[test]
+    fn in_place_calls_check_buffer_lengths() {
+        let a = dense_to_builder(&[&[4.0, 1.0][..], &[1.0, 3.0][..]]).to_csc();
+        let mut lu = SparseLu::new(&a).unwrap();
+        assert!(matches!(
+            lu.refactor_values(&a.values()[..3], &mut [0.0; 2]),
+            Err(NumericError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            lu.refactor_values(a.values(), &mut [0.0; 3]),
+            Err(NumericError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            lu.solve_into(&[1.0, 2.0], &mut [0.0; 1], &mut [0.0; 2]),
+            Err(NumericError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn failed_refactor_leaves_work_zeroed() {
+        let a1 = dense_to_builder(&[&[4.0, 1.0][..], &[1.0, 3.0][..]]).to_csc();
+        let a2 = dense_to_builder(&[&[4.0, 1.0][..], &[4.0, 1.0][..]]).to_csc();
+        let mut lu = SparseLu::new(&a1).unwrap();
+        let mut work = vec![0.0; 2];
+        assert!(matches!(
+            lu.refactor_values(a2.values(), &mut work),
+            Err(NumericError::Singular { pivot: 1 })
+        ));
+        assert_eq!(work, vec![0.0; 2]);
     }
 
     #[test]
@@ -545,13 +739,7 @@ mod tests {
     fn matches_dense_on_random_systems() {
         use crate::dense::DenseMatrix;
         use crate::lu::LuFactor;
-        let mut state = 0xdeadbeefcafef00du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
+        let mut next = uniform(0xdeadbeefcafef00d);
         for n in [3usize, 8, 16] {
             let mut dm = DenseMatrix::zeros(n, n);
             let mut tb = TripletBuilder::new(n, n);

@@ -5,7 +5,7 @@ use crate::device::{Mode, Stamper};
 use crate::options::SimStats;
 use crate::SimError;
 use gabm_numeric::newton::damp_update;
-use gabm_numeric::{LuFactor, SparseLu};
+use gabm_numeric::SparseLu;
 
 /// Result of one Newton solve.
 #[derive(Debug, Clone)]
@@ -35,6 +35,47 @@ impl Default for SolveSetup {
     }
 }
 
+/// Everything a Newton solve reuses across iterations, solves and time
+/// steps: the fixed-pattern stamper, the sparse factorization (its symbolic
+/// analysis and pivot order) and every work and solution buffer. Cached on
+/// the circuit and rebuilt only when the unknown count changes, so an
+/// iteration allocates nothing.
+#[derive(Debug)]
+pub(crate) struct SolverWorkspace {
+    stamper: Stamper,
+    lu: Option<SparseLu>,
+    /// Refactorization scratch, all zeros between uses.
+    work: Vec<f64>,
+    /// Forward-substitution scratch of the solve.
+    scratch: Vec<f64>,
+    /// Current iterate.
+    x: Vec<f64>,
+    /// Solution of the linear system, then the damped update in place.
+    x_new: Vec<f64>,
+    /// Next iterate.
+    x_next: Vec<f64>,
+    is_voltage: Vec<bool>,
+}
+
+impl SolverWorkspace {
+    fn new(n_nodes: usize, n: usize) -> Self {
+        SolverWorkspace {
+            stamper: Stamper::new(n_nodes, n - n_nodes, Mode::Dc),
+            lu: None,
+            work: vec![0.0; n],
+            scratch: vec![0.0; n],
+            x: vec![0.0; n],
+            x_new: vec![0.0; n],
+            x_next: vec![0.0; n],
+            is_voltage: (0..n).map(|i| i < n_nodes).collect(),
+        }
+    }
+
+    fn fits(&self, n_nodes: usize, n: usize) -> bool {
+        self.stamper.n_nodes() == n_nodes && self.stamper.n_unknowns() == n
+    }
+}
+
 /// Runs a damped Newton iteration for the given mode, starting from `x0`.
 ///
 /// Uses the Norton-companion formulation: each assembled linear system yields
@@ -48,13 +89,17 @@ pub(crate) fn newton_solve(
     stats: &mut SimStats,
 ) -> Result<NewtonOutcome, SimError> {
     let _span = gabm_trace::span("sim.newton");
-    // The cached sparse factorization lives on the circuit so its
-    // symbolic analysis survives across solves (and time steps). Take it
-    // out for the iteration and put it back on every exit path.
-    let mut lu_cache = circuit.lu_cache.take();
+    // The workspace lives on the circuit so the matrix pattern and the
+    // factorization survive across solves (and time steps). Take it out
+    // for the iteration and put it back on every exit path.
+    let (n_nodes, n) = (circuit.n_nodes(), circuit.n_unknowns());
+    let mut ws = match circuit.solver.take() {
+        Some(ws) if ws.fits(n_nodes, n) => ws,
+        _ => SolverWorkspace::new(n_nodes, n),
+    };
     let iters_before = stats.newton_iterations;
-    let result = newton_iterate(circuit, mode, x0, setup, stats, &mut lu_cache);
-    circuit.lu_cache = lu_cache;
+    let result = newton_iterate(circuit, mode, x0, setup, stats, &mut ws);
+    circuit.solver = Some(ws);
     gabm_trace::add(
         "sim.newton.iterations",
         (stats.newton_iterations - iters_before) as u64,
@@ -68,103 +113,85 @@ fn newton_iterate(
     x0: &[f64],
     setup: SolveSetup,
     stats: &mut SimStats,
-    lu_cache: &mut Option<SparseLu>,
+    ws: &mut SolverWorkspace,
 ) -> Result<NewtonOutcome, SimError> {
-    let n_nodes = circuit.n_nodes();
-    let n = circuit.n_unknowns();
-    debug_assert_eq!(x0.len(), n, "initial guess length mismatch");
-    let opts = circuit.options.clone();
+    debug_assert_eq!(x0.len(), ws.x.len(), "initial guess length mismatch");
+    let opts = &circuit.options;
+    let (gmin, vt, reuse_lu) = (opts.gmin, opts.thermal_voltage(), opts.reuse_lu);
+    let (tolerances, max_voltage_step) = (opts.tolerances, opts.max_voltage_step);
     let nonlinear = circuit.is_nonlinear();
-    let is_voltage: Vec<bool> = (0..n).map(|i| i < n_nodes).collect();
-
-    let sparse = n >= opts.sparse_threshold;
-    let mut stamper = Stamper::with_backend(n_nodes, n - n_nodes, mode, sparse);
-    stamper.gmin = opts.gmin;
-    stamper.vt = opts.thermal_voltage();
-    stamper.source_scale = setup.source_scale;
-    stamper.gshunt = setup.gshunt;
+    let max_iters = if nonlinear { opts.max_newton_iters } else { 1 };
 
     for d in circuit.devices_mut() {
         d.begin_solve();
     }
 
-    let mut x = x0.to_vec();
-    let max_iters = if nonlinear { opts.max_newton_iters } else { 1 };
+    ws.x.copy_from_slice(x0);
     for iter in 0..max_iters {
-        stamper.reset(&x, mode);
-        stamper.gmin = opts.gmin;
-        stamper.vt = opts.thermal_voltage();
+        let stamper = &mut ws.stamper;
+        stamper.reset(&ws.x, mode);
+        stamper.gmin = gmin;
+        stamper.vt = vt;
         stamper.source_scale = setup.source_scale;
         stamper.gshunt = setup.gshunt;
         for d in circuit.devices_mut() {
-            d.stamp(&mut stamper);
+            d.stamp(stamper);
         }
         stats.device_evals += 1;
         let limited = stamper.was_limited();
+        let grows = stamper.grows_pattern();
         let (mat, rhs) = stamper.finish();
-        let singular = |e: gabm_numeric::NumericError| match e {
-            gabm_numeric::NumericError::Singular { pivot } => SimError::SingularMatrix {
-                detail: unknown_name(circuit, pivot, n_nodes),
-            },
-            other => SimError::from(other),
-        };
-        let x_new = match mat {
-            crate::device::MatrixStore::Dense(m) => {
-                let lu = LuFactor::new(m).map_err(singular)?;
-                stats.factorizations += 1;
-                gabm_trace::add("sim.lu.full", 1);
-                lu.solve(rhs)?
+        // Numeric-only refactorization while the pattern holds; a grown
+        // pattern, or a pivot collapsing under the frozen order, takes a
+        // full re-pivoting factorization.
+        let refactored = match &mut ws.lu {
+            Some(lu) if reuse_lu && !grows => {
+                lu.refactor_values(mat.values(), &mut ws.work).is_ok()
             }
-            crate::device::MatrixStore::Sparse(t) => {
-                let a = t.to_csc();
-                // Numeric-only refactorization while the pattern holds; a
-                // pivot collapsing under the frozen order (or a pattern
-                // change from e.g. gmin stepping) falls back to a full
-                // re-pivoting factorization.
-                let cached = if opts.reuse_lu { lu_cache.take() } else { None };
-                let lu = match cached {
-                    Some(mut lu) if lu.pattern_matches(&a) => match lu.refactor(&a) {
-                        Ok(()) => {
-                            stats.refactorizations += 1;
-                            gabm_trace::add("sim.lu.refactor", 1);
-                            lu
-                        }
-                        Err(_) => {
-                            stats.factorizations += 1;
-                            gabm_trace::add("sim.lu.full", 1);
-                            SparseLu::new(&a).map_err(singular)?
-                        }
-                    },
-                    _ => {
-                        stats.factorizations += 1;
-                        gabm_trace::add("sim.lu.full", 1);
-                        SparseLu::new(&a).map_err(singular)?
-                    }
-                };
-                let solved = lu.solve(rhs)?;
-                if opts.reuse_lu {
-                    *lu_cache = Some(lu);
-                }
-                solved
-            }
+            _ => false,
         };
+        if refactored {
+            stats.refactorizations += 1;
+            gabm_trace::add("sim.lu.refactor", 1);
+        } else {
+            if grows {
+                gabm_trace::add("sim.lu.pattern_grow", 1);
+            }
+            stats.factorizations += 1;
+            gabm_trace::add("sim.lu.full", 1);
+            // A failed factorization leaves nothing valid to refactor.
+            ws.lu = None;
+            let lu = SparseLu::new(mat).map_err(|e| match e {
+                gabm_numeric::NumericError::Singular { pivot } => SimError::SingularMatrix {
+                    detail: unknown_name(circuit, pivot),
+                },
+                other => SimError::from(other),
+            })?;
+            ws.lu = Some(lu);
+        }
+        let lu = ws.lu.as_ref().expect("factorized above");
+        lu.solve_into(rhs, &mut ws.scratch, &mut ws.x_new)?;
         stats.newton_iterations += 1;
         if !nonlinear {
             return Ok(NewtonOutcome {
-                x: x_new,
+                x: ws.x_new.clone(),
                 iterations: 1,
             });
         }
         // Damped update.
-        let mut delta: Vec<f64> = x_new.iter().zip(&x).map(|(a, b)| a - b).collect();
-        let scale = damp_update(&mut delta, opts.max_voltage_step);
-        let x_next: Vec<f64> = x.iter().zip(&delta).map(|(a, d)| a + d).collect();
+        for (d, x) in ws.x_new.iter_mut().zip(&ws.x) {
+            *d -= x;
+        }
+        let scale = damp_update(&mut ws.x_new, max_voltage_step);
+        for ((next, x), d) in ws.x_next.iter_mut().zip(&ws.x).zip(&ws.x_new) {
+            *next = x + d;
+        }
         let converged =
-            scale == 1.0 && !limited && opts.tolerances.converged(&x_next, &x, &is_voltage);
-        x = x_next;
+            scale == 1.0 && !limited && tolerances.converged(&ws.x_next, &ws.x, &ws.is_voltage);
+        std::mem::swap(&mut ws.x, &mut ws.x_next);
         if converged {
             return Ok(NewtonOutcome {
-                x,
+                x: ws.x.clone(),
                 iterations: iter + 1,
             });
         }
@@ -175,15 +202,25 @@ fn newton_iterate(
     })
 }
 
-/// Human-readable name of MNA unknown `idx` for singular-matrix diagnostics.
-fn unknown_name(circuit: &Circuit, idx: usize, n_nodes: usize) -> String {
+/// Human-readable name of MNA unknown `idx` (the column the sparse LU found
+/// no pivot for) for singular-matrix diagnostics. A branch current is named
+/// after the device that owns it.
+fn unknown_name(circuit: &Circuit, idx: usize) -> String {
+    let n_nodes = circuit.n_nodes();
     if idx < n_nodes {
-        format!(
+        return format!(
             "node '{}'",
             circuit.node_name(crate::circuit::NodeId::from_index(idx + 1))
-        )
-    } else {
-        format!("branch current #{}", idx - n_nodes)
+        );
+    }
+    let branch = idx - n_nodes;
+    match circuit
+        .devices()
+        .iter()
+        .find(|d| d.branch_index() == Some(branch))
+    {
+        Some(d) => format!("branch current of {}", d.name()),
+        None => format!("branch current #{branch}"),
     }
 }
 
@@ -245,10 +282,38 @@ mod tests {
         }
     }
 
-    /// Nonlinear diode/resistor ladder, forced onto the sparse backend.
+    #[test]
+    fn shorted_source_reports_owning_device() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        c.add_resistor("R1", a, Circuit::GROUND, 1.0e3).unwrap();
+        c.add_resistor("R2", b, Circuit::GROUND, 1.0e3).unwrap();
+        c.add_vsource("V1", b, Circuit::GROUND, SourceWave::dc(1.0));
+        // Both terminals on one node: the branch equation 0 = 2 V has no
+        // pivot, and its column is V2's branch current.
+        c.add_vsource("V2", a, a, SourceWave::dc(2.0));
+        let n = c.n_unknowns();
+        let mut stats = SimStats::default();
+        let err = newton_solve(
+            &mut c,
+            Mode::Dc,
+            &vec![0.0; n],
+            SolveSetup::default(),
+            &mut stats,
+        )
+        .unwrap_err();
+        match err {
+            SimError::SingularMatrix { detail } => {
+                assert_eq!(detail, "branch current of V2");
+            }
+            other => panic!("expected singular matrix, got {other:?}"),
+        }
+    }
+
+    /// Nonlinear diode/resistor ladder.
     fn diode_ladder(reuse_lu: bool) -> Circuit {
         let mut c = Circuit::new();
-        c.options.sparse_threshold = 1;
         c.options.reuse_lu = reuse_lu;
         let top = c.node("top");
         c.add_vsource("V1", top, Circuit::GROUND, SourceWave::dc(5.0));

@@ -261,4 +261,33 @@ mod tests {
         // Symmetric stack: midpoint at half the supply.
         assert!((op.voltage(m) - 0.7).abs() < 0.05, "vm = {}", op.voltage(m));
     }
+
+    /// The stepping homotopies only move values (the gmin shunt sits on
+    /// the diagonal, which is always in the pattern), so after the first
+    /// factorization every solve of the escalation ladder is a numeric
+    /// refactorization.
+    #[test]
+    fn gmin_and_source_stepping_add_no_full_factorization() {
+        // Too few iterations for plain Newton from zero: the operating
+        // point has to escalate to gmin stepping, or (with that disabled)
+        // to source stepping.
+        for gmin_steps in [12, 0] {
+            let mut c = Circuit::new();
+            let top = c.node("top");
+            c.add_vsource("V1", top, Circuit::GROUND, SourceWave::dc(5.0));
+            let mut prev = top;
+            for k in 0..6 {
+                let n = c.node(&format!("n{k}"));
+                c.add_resistor(&format!("R{k}"), prev, n, 500.0).unwrap();
+                c.add_diode(&format!("D{k}"), n, Circuit::GROUND, DiodeParams::default());
+                prev = n;
+            }
+            c.options.max_newton_iters = 10;
+            c.options.gmin_steps = gmin_steps;
+            let stats = c.op().unwrap().stats;
+            assert!(stats.newton_iterations > 10, "{stats:?}");
+            assert_eq!(stats.factorizations, 1, "{stats:?}");
+            assert_eq!(stats.refactorizations, stats.newton_iterations - 1);
+        }
+    }
 }

@@ -72,11 +72,12 @@ pub struct Circuit {
     n_branches: usize,
     /// Simulator options used by all analyses on this circuit.
     pub options: Options,
-    /// Cached sparse factorization: the symbolic analysis and pivot order
-    /// survive across Newton solves and time steps, so iterations with an
-    /// unchanged matrix pattern only pay a numeric refactorization (see
+    /// Cached solver workspace: the matrix pattern, the sparse LU's
+    /// symbolic analysis and pivot order, and all buffers survive across
+    /// Newton solves and time steps, so iterations with an unchanged
+    /// pattern only pay a numeric refactorization (see
     /// [`Options::reuse_lu`]).
-    pub(crate) lu_cache: Option<gabm_numeric::SparseLu>,
+    pub(crate) solver: Option<crate::analysis::engine::SolverWorkspace>,
 }
 
 impl Circuit {
@@ -92,7 +93,7 @@ impl Circuit {
             device_names: HashMap::new(),
             n_branches: 0,
             options: Options::default(),
-            lu_cache: None,
+            solver: None,
         }
     }
 

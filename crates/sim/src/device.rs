@@ -9,7 +9,7 @@
 
 use crate::circuit::NodeId;
 use gabm_numeric::integrate::Coefficients;
-use gabm_numeric::{Complex64, DenseMatrix, TripletBuilder};
+use gabm_numeric::{Complex64, DenseMatrix, SparseMatrix, TripletBuilder};
 use std::fmt;
 
 /// An MNA unknown: a node voltage or a branch current.
@@ -63,49 +63,21 @@ impl Mode {
 
 /// Assembly surface for one Newton iteration of a real (DC or transient)
 /// solve.
-/// Backing store for the assembled Jacobian: dense for small systems,
-/// coordinate triplets (solved by the sparse LU) above the
-/// `sparse_threshold` option.
-#[derive(Debug)]
-pub(crate) enum MatrixStore {
-    /// Dense row-major storage.
-    Dense(DenseMatrix<f64>),
-    /// Sparse triplet accumulation.
-    Sparse(TripletBuilder),
-}
-
-impl MatrixStore {
-    fn add_at(&mut self, row: usize, col: usize, val: f64) {
-        match self {
-            MatrixStore::Dense(m) => m.add_at(row, col, val),
-            MatrixStore::Sparse(t) => t.push(row, col, val),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            MatrixStore::Dense(m) => m.clear(),
-            MatrixStore::Sparse(t) => t.clear(),
-        }
-    }
-}
-
-impl std::ops::Index<(usize, usize)> for MatrixStore {
-    type Output = f64;
-    fn index(&self, (row, col): (usize, usize)) -> &f64 {
-        match self {
-            MatrixStore::Dense(m) => &m[(row, col)],
-            MatrixStore::Sparse(_) => {
-                panic!("indexing a sparse store by reference is not supported")
-            }
-        }
-    }
-}
-
+///
+/// The Jacobian lives in one fixed-pattern CSC matrix that is reused across
+/// iterations, solves and analyses: [`Stamper::add`] accumulates into the
+/// value slot of an existing entry, so reassembly allocates nothing. The
+/// pattern starts as the full diagonal (so gmin/gshunt stepping never
+/// changes it); a stamp outside it is held back and merged once by
+/// `finish`. The pattern only grows, and a stamp keeps its slot even when
+/// its value is zero, so the sparse LU can refactor numerically whenever
+/// no device touched a new position.
 #[derive(Debug)]
 pub struct Stamper {
     n_nodes: usize,
-    mat: MatrixStore,
+    mat: SparseMatrix,
+    /// Stamps outside the pattern since the last `finish`, in stamp order.
+    pending: Vec<(usize, usize, f64)>,
     rhs: Vec<f64>,
     x: Vec<f64>,
     /// Analysis mode of this solve.
@@ -124,22 +96,17 @@ pub struct Stamper {
 
 impl Stamper {
     /// Creates a stamper for `n_nodes` node voltages plus `n_branches`
-    /// branch currents.
+    /// branch currents, with the diagonal as the initial pattern.
     pub fn new(n_nodes: usize, n_branches: usize, mode: Mode) -> Self {
-        Stamper::with_backend(n_nodes, n_branches, mode, false)
-    }
-
-    /// Creates a stamper with an explicit matrix backend (`sparse = true`
-    /// accumulates triplets for the sparse LU).
-    pub fn with_backend(n_nodes: usize, n_branches: usize, mode: Mode, sparse: bool) -> Self {
         let n = n_nodes + n_branches;
+        let mut diagonal = TripletBuilder::new(n, n);
+        for i in 0..n {
+            diagonal.push(i, i, 0.0);
+        }
         Stamper {
             n_nodes,
-            mat: if sparse {
-                MatrixStore::Sparse(TripletBuilder::new(n, n))
-            } else {
-                MatrixStore::Dense(DenseMatrix::zeros(n, n))
-            },
+            mat: diagonal.to_csc(),
+            pending: Vec::new(),
             rhs: vec![0.0; n],
             x: vec![0.0; n],
             mode,
@@ -164,10 +131,8 @@ impl Stamper {
     /// Resets matrix, right-hand side and the limiting flag; loads the
     /// iterate `x` the devices will linearize around.
     pub fn reset(&mut self, x: &[f64], mode: Mode) {
-        self.mat.clear();
-        for r in &mut self.rhs {
-            *r = 0.0;
-        }
+        self.mat.values_mut().fill(0.0);
+        self.rhs.fill(0.0);
         self.x.copy_from_slice(x);
         self.mode = mode;
         self.limited = false;
@@ -204,7 +169,10 @@ impl Stamper {
     /// ground rows/columns.
     pub fn add(&mut self, row: Unknown, col: Unknown, val: f64) {
         if let (Some(r), Some(c)) = (self.row_of(row), self.row_of(col)) {
-            self.mat.add_at(r, c, val);
+            match self.mat.position(r, c) {
+                Some(k) => self.mat.values_mut()[k] += val,
+                None => self.pending.push((r, c, val)),
+            }
         }
     }
 
@@ -241,12 +209,37 @@ impl Stamper {
         self.limited
     }
 
-    /// Finishes assembly: applies the gmin-stepping shunt and hands the
-    /// system to the linear solver.
-    pub(crate) fn finish(&mut self) -> (&MatrixStore, &[f64]) {
+    /// `true` if this assembly stamped a position outside the pattern, so
+    /// `finish` will grow it (and the factorization must be redone).
+    pub(crate) fn grows_pattern(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Finishes assembly: merges stamps outside the pattern into it,
+    /// applies the gmin-stepping shunt and hands the system to the linear
+    /// solver.
+    pub(crate) fn finish(&mut self) -> (&SparseMatrix, &[f64]) {
+        if !self.pending.is_empty() {
+            // Rebuild through the triplet builder: its stable sort sums the
+            // held-back stamps of one position in stamp order, from zero,
+            // exactly as in-pattern accumulation does.
+            let n = self.rhs.len();
+            let mut grown = TripletBuilder::new(n, n);
+            for col in 0..n {
+                for (row, v) in self.mat.col_iter(col) {
+                    grown.push(row, col, v);
+                }
+            }
+            for &(row, col, v) in &self.pending {
+                grown.push(row, col, v);
+            }
+            self.mat = grown.to_csc();
+            self.pending.clear();
+        }
         if self.gshunt > 0.0 {
             for i in 0..self.n_nodes {
-                self.mat.add_at(i, i, self.gshunt);
+                let k = self.mat.position(i, i).expect("diagonal is in the pattern");
+                self.mat.values_mut()[k] += self.gshunt;
             }
         }
         (&self.mat, &self.rhs)
@@ -484,6 +477,41 @@ mod tests {
         assert_eq!(m[(0, 0)], 1e-3);
         assert_eq!(m[(1, 1)], 1e-3);
         assert_eq!(m[(0, 1)], 0.0);
+    }
+
+    #[test]
+    fn pattern_starts_diagonal_and_only_grows() {
+        let mut s = Stamper::new(2, 1, Mode::Dc);
+        let n1 = NodeId::from_index(1);
+        let n2 = NodeId::from_index(2);
+        assert_eq!(s.mat.nnz(), 3);
+        // Diagonal stamps (and gmin-stepping shunts) fit the pattern.
+        s.stamp_conductance(n1, NodeId::ground(), 1.0);
+        s.gshunt = 1e-3;
+        assert!(!s.grows_pattern());
+        s.finish();
+        // An off-diagonal stamp is merged once, summed in stamp order.
+        s.reset(&[0.0; 3], Mode::Dc);
+        s.add(Unknown::Node(n1), Unknown::Node(n2), 0.25);
+        s.add(Unknown::Node(n1), Unknown::Node(n2), 0.5);
+        assert!(s.grows_pattern());
+        let (m, _) = s.finish();
+        assert_eq!(m.nnz(), 4);
+        assert_eq!(m[(0, 1)], 0.75);
+        assert_eq!(m[(0, 0)], 1e-3);
+        // A zero-valued stamp keeps its slot, and a later assembly that
+        // skips the position entirely keeps it as well.
+        s.reset(&[0.0; 3], Mode::Dc);
+        s.add(Unknown::Node(n2), Unknown::Branch(0), 0.0);
+        assert!(s.grows_pattern());
+        assert_eq!(s.finish().0.nnz(), 5);
+        s.reset(&[0.0; 3], Mode::Dc);
+        s.add(Unknown::Node(n1), Unknown::Node(n2), 2.0);
+        assert!(!s.grows_pattern());
+        let (m, _) = s.finish();
+        assert_eq!(m.nnz(), 5);
+        assert_eq!(m[(0, 1)], 2.0);
+        assert_eq!(m[(1, 2)], 0.0);
     }
 
     #[test]

@@ -352,4 +352,40 @@ mod tests {
         let dbg = format!("{dev:?}");
         assert!(dbg.contains("accepted: 1"), "{dbg}");
     }
+
+    /// i0 = g·v0 + gm·max(v1, 0), i1 = g·v1: a clipped transconductance
+    /// whose ∂i0/∂v1 is exactly zero below the corner.
+    #[derive(Debug)]
+    struct Clipped;
+
+    impl BehavioralModel for Clipped {
+        fn pin_count(&self) -> usize {
+            2
+        }
+        fn eval(&mut self, _ctx: &EvalCtx, v: &[f64], i: &mut [f64]) {
+            i[0] = 1e-3 * v[0] + 2e-3 * v[1].max(0.0);
+            i[1] = 1e-3 * v[1];
+        }
+        fn accept(&mut self, _ctx: &EvalCtx, _v: &[f64]) {}
+    }
+
+    #[test]
+    fn skipped_zero_jacobian_entry_keeps_its_slot() {
+        let pins = [NodeId::from_index(1), NodeId::from_index(2)];
+        let mut dev = BehavioralDevice::new("X1", &pins, Box::new(Clipped)).unwrap();
+        let mut s = Stamper::new(2, 0, Mode::Dc);
+        // Linear region: ∂i0/∂v1 is stamped and enters the pattern.
+        s.reset(&[0.0, 1.0], Mode::Dc);
+        dev.stamp(&mut s);
+        assert!(s.grows_pattern());
+        let nnz = s.finish().0.nnz();
+        // Clipped region: the entry is zero and skipped, but its slot
+        // stays, so the factorization can be reused.
+        s.reset(&[0.0, -1.0], Mode::Dc);
+        dev.stamp(&mut s);
+        assert!(!s.grows_pattern());
+        let (mat, _) = s.finish();
+        assert_eq!(mat.nnz(), nnz);
+        assert_eq!(mat[(0, 1)], 0.0);
+    }
 }

@@ -37,8 +37,6 @@ pub struct Options {
     pub max_voltage_step: f64,
     /// Analysis temperature in kelvin (default 300.15 K = 27 °C).
     pub temperature: f64,
-    /// Switch to the sparse matrix backend above this many unknowns.
-    pub sparse_threshold: usize,
     /// Reuse the sparse LU symbolic analysis and pivot order across Newton
     /// iterations and time steps (numeric-only refactorization) while the
     /// matrix pattern is unchanged. Disable to force a full factorization
@@ -58,7 +56,6 @@ impl Default for Options {
             tran_tol: 1e-3,
             max_voltage_step: 2.0,
             temperature: 300.15,
-            sparse_threshold: 64,
             reuse_lu: true,
         }
     }

@@ -10,7 +10,6 @@ use gabm_sim::Circuit;
 /// so the transient engine runs many Newton iterations per step.
 fn ladder(reuse_lu: bool) -> (Circuit, gabm_sim::NodeId) {
     let mut c = Circuit::new();
-    c.options.sparse_threshold = 1; // force the sparse backend
     c.options.reuse_lu = reuse_lu;
     let input = c.node("in");
     c.add_vsource(

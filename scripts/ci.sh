@@ -19,6 +19,11 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+# The benchmark package is a workspace of its own; run its tests (input
+# lists, every workload's output checks on a tiny run, the traced split).
+echo "==> cargo test perfbench"
+cargo test --release --offline --quiet --manifest-path perfbench/Cargo.toml
+
 # Drive the fixer end to end over every FAS fixture and every built-in
 # construct: exit 2 means a usage/IO failure or a panic, and unparseable
 # JSON output means the machine interface regressed. Exit 1 (diagnostics

@@ -106,8 +106,15 @@ fn three_step_transient_has_expected_span_structure() {
         Some(&4),
         "{counters:?}"
     );
-    // Four Newton solves on a small dense system: one full LU each.
-    assert_eq!(counters.get("sim.lu.full"), Some(&4), "{counters:?}");
+    // Four Newton solves on one fixed matrix pattern: the first assembly
+    // grows the pattern and factors it; every later solve refactors.
+    assert_eq!(counters.get("sim.lu.full"), Some(&1), "{counters:?}");
+    assert_eq!(counters.get("sim.lu.refactor"), Some(&3), "{counters:?}");
+    assert_eq!(
+        counters.get("sim.lu.pattern_grow"),
+        Some(&1),
+        "{counters:?}"
+    );
 }
 
 #[test]
