@@ -15,11 +15,11 @@
 //!   validity   range-of-validity scan (§2.4)
 //!   ablation   transient tolerance / integration-method cost sweep
 //!   bode       open-loop Bode of the behavioural opamp vs the analytic pole
-//!   fasvm      FAS interpreter vs bytecode VM vs CMOS (writes BENCH_fasvm.json)
-//!   parchar    parallel characterization + LU reuse (writes BENCH_parchar.json)
+//!   fasvm      FAS interpreter vs bytecode VM vs CMOS (asserts the backends agree)
+//!   parchar    Monte-Carlo determinism across pool sizes (PARCHAR-DIST line)
 //!   traceov    tracing overhead: disabled-probe cost on the comparator
-//!              transient + a fully traced all-layer run (writes
-//!              BENCH_traceov.json and TRACE_traceov.json)
+//!              transient (asserts <= 2 %) + a fully traced all-layer run
+//!              (writes TRACE_traceov.json)
 //!   all        everything above (default)
 //! ```
 //!
@@ -29,6 +29,9 @@
 //! invocation and `--trace-summary` prints the hierarchical text summary;
 //! both use the same shared flag parser as `gabm`. SVG renderings of the
 //! diagrams are written to `figures/`.
+//!
+//! Timing figures printed here are single-host snapshots for reading the
+//! paper's tables; the `perfbench` package is the benchmark.
 
 use gabm_bench::experiments::comparator_bench::{
     behavioural_comparator_circuit, behavioural_comparator_circuit_with, cmos_comparator_circuit,
@@ -75,82 +78,48 @@ fn main() {
     }
     gabm_trace::cli::maybe_enable(&trace_cfg);
     let which = argv.into_iter().next().unwrap_or_else(|| "all".to_string());
-    let all = which == "all";
-    std::fs::create_dir_all("figures").ok();
-    let mut ran = false;
-    if all || which == "fig1" {
-        fig1();
-        ran = true;
-    }
-    if all || which == "fig2" {
-        fig2();
-        ran = true;
-    }
-    if all || which == "fig3" {
-        fig3();
-        ran = true;
-    }
-    if all || which == "fig4" {
-        fig4();
-        ran = true;
-    }
-    if all || which == "fig5" {
-        fig5();
-        ran = true;
-    }
-    if all || which == "listing42" {
-        listing42();
-        ran = true;
-    }
-    if all || which == "fig6" {
-        fig6();
-        ran = true;
-    }
-    if all || which == "fig7" {
-        fig7();
-        ran = true;
-    }
-    if all || which == "table1" {
-        table1();
-        ran = true;
-    }
-    if all || which == "modelcheck" {
-        modelcheck();
-        ran = true;
-    }
-    if all || which == "validity" {
-        validity_scan();
-        ran = true;
-    }
-    if all || which == "ablation" {
-        ablation();
-        ran = true;
-    }
-    if all || which == "bode" {
-        bode();
-        ran = true;
-    }
-    if all || which == "fasvm" {
-        fasvm();
-        ran = true;
-    }
-    if all || which == "parchar" {
-        parchar();
-        ran = true;
-    }
-    if all || which == "traceov" {
-        traceov();
-        ran = true;
-    }
-    if !ran {
-        eprintln!("unknown experiment '{which}' — see the module docs for the list");
+    let selected: Vec<fn()> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| which == "all" || *name == which)
+        .map(|&(_, run)| run)
+        .collect();
+    if selected.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+        eprintln!(
+            "unknown experiment '{which}' (expected one of: {}, all)",
+            names.join(", ")
+        );
         std::process::exit(2);
+    }
+    std::fs::create_dir_all("figures").ok();
+    for run in selected {
+        run();
     }
     if let Err(msg) = gabm_trace::cli::finalize(&trace_cfg) {
         eprintln!("error: {msg}");
         std::process::exit(2);
     }
 }
+
+/// Every experiment by name, in the order `all` runs them.
+const EXPERIMENTS: &[(&str, fn())] = &[
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("listing42", listing42),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("table1", table1),
+    ("modelcheck", modelcheck),
+    ("validity", validity_scan),
+    ("ablation", ablation),
+    ("bode", bode),
+    ("fasvm", fasvm),
+    ("parchar", parchar),
+    ("traceov", traceov),
+];
 
 fn banner(title: &str) {
     println!("\n==================================================================");
@@ -660,8 +629,8 @@ fn gabm_charac_scaffold(
 }
 
 /// E8/E9 perf row — FAS interpreter vs bytecode VM vs CMOS baseline on
-/// the comparator transient, with the speedup recorded in
-/// `BENCH_fasvm.json` for the performance trajectory.
+/// the comparator transient. Asserts that both FAS backends take the same
+/// Newton trajectory and produce the same output waveform.
 fn fasvm() {
     use gabm_fasvm::FasBackend;
 
@@ -731,47 +700,23 @@ fn fasvm() {
     println!("{:<24} {:>10} {:>12.4}", "FAS bytecode VM", nr_vm, t_vm);
     println!("{:<24} {:>10} {:>12.4}", "CMOS (11 MOS)", "-", t_cmos);
     println!("VM speedup over interpreter: {speedup:.2}x (outputs agree, rms {rms:.1e})");
-
-    let json = format!(
-        "{{\n  \"experiment\": \"fasvm\",\n  \"tstop\": {tstop:e},\n  \"reps\": {REPS},\n  \
-         \"ops\": {},\n  \"regs\": {},\n  \"interp_s\": {t_interp:.6},\n  \"vm_s\": {t_vm:.6},\n  \
-         \"cmos_s\": {t_cmos:.6},\n  \"newton_iterations\": {nr_interp},\n  \
-         \"accepted_steps\": {},\n  \"rejected_steps\": {},\n  \"vm_tran_wall_s\": {:.6},\n  \
-         \"speedup_vm_over_interp\": {speedup:.4},\n  \"waveform_rms_diff\": {rms:e}\n}}\n",
-        prog.op_count(),
-        prog.reg_count(),
-        s_vm.accepted_steps,
-        s_vm.rejected_steps,
-        s_vm.wall_s
-    );
-    if std::fs::write("BENCH_fasvm.json", &json).is_ok() {
-        println!("  [written to BENCH_fasvm.json]");
-    }
 }
 
-/// Perf row for the parallel characterization engine: Monte-Carlo over the
-/// comparator's strobe-to-decision delay at several pool sizes (bitwise
-/// identical by construction), plus the sparse-LU refactorization-reuse
-/// speedup on the 60 µs comparator transient. Writes `BENCH_parchar.json`.
+/// Determinism gate for the parallel characterization engine: Monte-Carlo
+/// over the comparator's strobe-to-decision delay must give a bitwise
+/// identical distribution on pools of 1, 2, 4 and 8 workers and on the
+/// global pool, whose fingerprint is printed as the `PARCHAR-DIST` line.
 fn parchar() {
     use gabm_charac::monte_carlo::{monte_carlo_on, Distribution, Scatter};
     use gabm_charac::{CharacError, ThreadPool};
-    use gabm_fasvm::FasBackend;
     use std::collections::BTreeMap;
 
-    banner("Parallel characterization + sparse-LU refactorization reuse");
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "hardware threads: {hardware_threads}, global pool: {} workers",
-        gabm_par::global().threads()
-    );
+    banner("Parallel characterization — Monte-Carlo determinism across pool sizes");
+    println!("global pool: {} workers", gabm_par::global().threads());
 
-    // --- Monte-Carlo: slew-rate scatter -> response-time distribution. ---
+    // Slew-rate scatter -> response-time distribution.
     const SAMPLES: usize = 24;
     const SEED: u64 = 1994;
-    const REPS: usize = 3;
     let nominal = ComparatorSpec::default();
     let mut scatters = BTreeMap::new();
     scatters.insert("srise".to_string(), Scatter::new(nominal.slew_rise, 0.1));
@@ -798,23 +743,8 @@ fn parchar() {
         Ok(rigs::response_time(&dut, "strobe", "outp", &bias, -1.0, 1.0, 1.0, 40.0e-6)?.value)
     };
     let mc_run = |pool: &ThreadPool| {
-        let mut best = f64::INFINITY;
-        let mut result = None;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let r = monte_carlo_on(pool, &scatters, SAMPLES, SEED, measure).expect("MC runs");
-            best = best.min(t0.elapsed().as_secs_f64());
-            result = Some(r);
-        }
-        let (dist, failures) = result.expect("at least one repetition");
-        (best, dist, failures)
+        monte_carlo_on(pool, &scatters, SAMPLES, SEED, measure).expect("MC runs")
     };
-    println!(
-        "{:<8} {:>10} {:>12} {:>12} {:>9}",
-        "threads", "time [s]", "mean [s]", "std [s]", "failures"
-    );
-    let mut times: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut reference: Option<(Distribution, usize)> = None;
     let assert_same = |a: &(Distribution, usize), b: &(Distribution, usize), threads: usize| {
         assert_eq!(a.0.n, b.0.n, "sample count changed at {threads} threads");
         assert_eq!(a.1, b.1, "failure count changed at {threads} threads");
@@ -831,23 +761,26 @@ fn parchar() {
             );
         }
     };
+    println!(
+        "{:<8} {:>12} {:>12} {:>9}",
+        "threads", "mean [s]", "std [s]", "failures"
+    );
+    let mut reference: Option<(Distribution, usize)> = None;
     for threads in [1usize, 2, 4, 8] {
-        let pool = ThreadPool::new(threads);
-        let (t, dist, failures) = mc_run(&pool);
+        let run = mc_run(&ThreadPool::new(threads));
         println!(
-            "{threads:<8} {t:>10.4} {:>12.4e} {:>12.4e} {failures:>9}",
-            dist.mean, dist.std_dev
+            "{threads:<8} {:>12.4e} {:>12.4e} {:>9}",
+            run.0.mean, run.0.std_dev, run.1
         );
         match &reference {
-            None => reference = Some((dist, failures)),
-            Some(r) => assert_same(r, &(dist, failures), threads),
+            None => reference = Some(run),
+            Some(r) => assert_same(r, &run, threads),
         }
-        times.insert(threads, t);
     }
     // One run on the global pool (sized by --threads / GABM_THREADS): the
     // PARCHAR-DIST fingerprint below is what ci.sh diffs across thread
     // settings, so it must come from the pool those settings control.
-    let (_, dist, failures) = mc_run(gabm_par::global());
+    let (dist, failures) = mc_run(gabm_par::global());
     let reference = reference.expect("fixed-size runs happened");
     assert_same(
         &reference,
@@ -863,80 +796,6 @@ fn parchar() {
         dist.min.to_bits(),
         dist.max.to_bits()
     );
-    let speedup_mc_4t = times[&1] / times[&4];
-    println!(
-        "4-thread speedup: {speedup_mc_4t:.2}x over serial \
-         (meaningful only when hardware threads >= 4; this host has {hardware_threads})"
-    );
-
-    // --- Sparse-LU refactorization reuse on the comparator transient. ---
-    let stim = ComparatorStimulus::default();
-    let tstop = 60.0e-6;
-    const LU_REPS: usize = 7;
-    let lu_run = |reuse: bool| {
-        let mut best = f64::INFINITY;
-        let mut stats = None;
-        for _ in 0..LU_REPS {
-            let (mut ckt, _) =
-                behavioural_comparator_circuit_with(&stim, FasBackend::Vm).expect("bench builds");
-            ckt.options.reuse_lu = reuse;
-            let t0 = Instant::now();
-            let r = ckt.tran(&TranSpec::new(tstop)).expect("tran runs");
-            best = best.min(t0.elapsed().as_secs_f64());
-            stats = Some(r.stats);
-        }
-        (best, stats.expect("at least one repetition"))
-    };
-    let (t_off, s_off) = lu_run(false);
-    let (t_on, s_on) = lu_run(true);
-    assert_eq!(
-        s_off.newton_iterations, s_on.newton_iterations,
-        "LU reuse must not change the Newton trajectory"
-    );
-    let speedup_lu = t_off / t_on;
-    println!(
-        "\n{:<30} {:>10} {:>8} {:>10}",
-        "sparse LU", "time [s]", "factor", "refactor"
-    );
-    println!(
-        "{:<30} {:>10.4} {:>8} {:>10}",
-        "full factorization each iter", t_off, s_off.factorizations, s_off.refactorizations
-    );
-    println!(
-        "{:<30} {:>10.4} {:>8} {:>10}",
-        "numeric refactorization reuse", t_on, s_on.factorizations, s_on.refactorizations
-    );
-    println!(
-        "LU-reuse speedup: {speedup_lu:.2}x ({} Newton iterations)",
-        s_on.newton_iterations
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"parchar\",\n  \"hardware_threads\": {hardware_threads},\n  \
-         \"samples\": {SAMPLES},\n  \"seed\": {SEED},\n  \"reps\": {REPS},\n  \
-         \"mc_serial_s\": {:.6},\n  \"mc_2t_s\": {:.6},\n  \"mc_4t_s\": {:.6},\n  \
-         \"mc_8t_s\": {:.6},\n  \"speedup_mc_4t\": {speedup_mc_4t:.4},\n  \
-         \"mc_mean_s\": {:.6e},\n  \"mc_std_s\": {:.6e},\n  \"mc_failures\": {failures},\n  \
-         \"lu_reuse_off_s\": {t_off:.6},\n  \"lu_reuse_on_s\": {t_on:.6},\n  \
-         \"speedup_lu_reuse\": {speedup_lu:.4},\n  \"factorizations\": {},\n  \
-         \"refactorizations\": {},\n  \"newton_iterations\": {},\n  \
-         \"accepted_steps\": {},\n  \"rejected_steps\": {},\n  \"tran_wall_s\": {:.6}\n}}\n",
-        times[&1],
-        times[&2],
-        times[&4],
-        times[&8],
-        dist.mean,
-        dist.std_dev,
-        s_on.factorizations,
-        s_on.refactorizations,
-        s_on.newton_iterations,
-        s_on.accepted_steps,
-        s_on.rejected_steps,
-        s_on.wall_s
-    );
-    if std::fs::write("BENCH_parchar.json", &json).is_ok() {
-        println!("  [written to BENCH_parchar.json]");
-    }
 }
 
 /// Tracing-overhead gate: the compiled-in instrumentation must cost no
@@ -945,7 +804,6 @@ fn parchar() {
 /// scaled by the number of probe sites one run passes; a fully traced
 /// all-layer run (sim + fasvm + charac + par) is then recorded and its
 /// Chrome JSON written to `TRACE_traceov.json` for CI validation.
-/// Writes `BENCH_traceov.json`.
 fn traceov() {
     use gabm_charac::monte_carlo::{monte_carlo_on, Scatter};
     use gabm_charac::{CharacError, ThreadPool};
@@ -1028,7 +886,6 @@ fn traceov() {
     };
     monte_carlo_on(&pool, &scatters, 8, 1994, measure).expect("MC runs");
     let trace = gabm_trace::finish();
-    let spans = trace.span_count();
     if std::fs::write("TRACE_traceov.json", trace.to_chrome_json(false)).is_ok() {
         println!("  [traced all-layer run written to TRACE_traceov.json]");
     }
@@ -1051,17 +908,4 @@ fn traceov() {
         "disabled tracing overhead {overhead_disabled_pct:.3}% exceeds the 2% budget"
     );
     println!("TRACEOV-OK overhead_disabled_pct={overhead_disabled_pct:.4}");
-
-    let json = format!(
-        "{{\n  \"experiment\": \"traceov\",\n  \"tstop\": {tstop:e},\n  \"reps\": {REPS},\n  \
-         \"tran_disabled_s\": {t_disabled:.6},\n  \"tran_enabled_s\": {t_enabled:.6},\n  \
-         \"ns_per_disabled_probe\": {ns_per_probe:.3},\n  \"probes_per_run\": {probes_per_run},\n  \
-         \"overhead_disabled_pct\": {overhead_disabled_pct:.4},\n  \
-         \"overhead_enabled_pct\": {overhead_enabled_pct:.4},\n  \"traced_spans\": {spans},\n  \
-         \"accepted_steps\": {},\n  \"rejected_steps\": {},\n  \"tran_wall_s\": {:.6}\n}}\n",
-        stats.accepted_steps, stats.rejected_steps, stats.wall_s
-    );
-    if std::fs::write("BENCH_traceov.json", &json).is_ok() {
-        println!("  [written to BENCH_traceov.json]");
-    }
 }

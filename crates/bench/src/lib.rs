@@ -1,11 +1,10 @@
 //! Experiment builders regenerating every table and figure of the paper.
 //!
 //! Each module of [`experiments`] owns one experiment from DESIGN.md's
-//! index; the `harness` binary prints the rows/series, and the micro-bench
-//! targets ([`quick`]) reuse the same builders for the timing comparisons.
+//! index; the `harness` binary prints the rows/series, and the `perfbench`
+//! benchmark package reuses the same builders for its timed workloads.
 
 pub mod experiments;
-pub mod quick;
 
 pub use experiments::comparator_bench::{
     behavioural_comparator_circuit, cmos_comparator_circuit, ComparatorStimulus,

@@ -85,9 +85,12 @@ fn unknown_experiment_exits_two() {
     let dir = tmpdir("gabm_harness_cli_unknown");
     let out = harness_in(&dir, &["frobnicate"]);
     assert_eq!(exit_code(&out), 2, "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown experiment 'frobnicate'"),
-        "{out:?}"
+        stderr.contains("unknown experiment 'frobnicate'"),
+        "{stderr}"
     );
+    // The error lists the valid experiment names.
+    assert!(stderr.contains("table1"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -92,20 +92,6 @@ pub fn damp_update(update: &mut [f64], max_delta: f64) -> f64 {
     scale
 }
 
-/// Trace of a Newton solve, exposed for diagnostics and the convergence
-/// ablation benches.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NewtonStats {
-    /// Iterations used by the last solve.
-    pub iterations: usize,
-    /// Total Jacobian factorizations.
-    pub factorizations: usize,
-    /// Final maximum update magnitude.
-    pub final_delta: f64,
-    /// Whether device-level limiting fired during the solve.
-    pub limited: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

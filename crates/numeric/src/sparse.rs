@@ -227,16 +227,6 @@ impl SparseMatrix {
         }
         Ok(y)
     }
-
-    /// Density as a fraction of a full matrix (diagnostic for the ablation
-    /// benches comparing dense vs sparse factorization).
-    pub fn density(&self) -> f64 {
-        if self.rows == 0 || self.cols == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / (self.rows as f64 * self.cols as f64)
-        }
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for SparseMatrix {
@@ -330,14 +320,6 @@ mod tests {
         assert_eq!(m.values(), &[1.0, 4.0, 5.0]);
         assert_eq!(m[(1, 1)], 5.0);
         assert_eq!(m[(2, 1)], 0.0);
-    }
-
-    #[test]
-    fn density() {
-        let mut b = TripletBuilder::new(2, 2);
-        b.push(0, 0, 1.0);
-        let m = b.to_csc();
-        assert_eq!(m.density(), 0.25);
     }
 
     #[test]

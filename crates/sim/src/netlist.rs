@@ -225,6 +225,17 @@ fn parse_source(fields: &[&str]) -> Result<SourceWave, SimError> {
     Ok(SourceWave::dc(parse_value(value_field)?))
 }
 
+/// Prefixes `e` with its netlist line. A [`SimError::BadAnalysis`] keeps
+/// its bare message so the result reads `bad analysis spec: line N: …`
+/// with the prefix once; other errors keep their full text.
+fn at_line(line_no: usize, e: SimError) -> SimError {
+    let msg = match e {
+        SimError::BadAnalysis(msg) => msg,
+        other => other.to_string(),
+    };
+    SimError::BadAnalysis(format!("line {line_no}: {msg}"))
+}
+
 /// Parses a complete netlist into a [`Circuit`]. The first line is the
 /// title (ignored), SPICE-style.
 ///
@@ -259,16 +270,13 @@ pub fn parse_netlist(src: &str) -> Result<Circuit, SimError> {
     for (line_no, card) in &cards {
         let fields: Vec<&str> = card.split_whitespace().collect();
         if fields[0].eq_ignore_ascii_case(".model") {
-            let (name, model) = parse_model_card(&fields)
-                .map_err(|e| SimError::BadAnalysis(format!("line {line_no}: {e}")))?;
+            let (name, model) = parse_model_card(&fields).map_err(|e| at_line(*line_no, e))?;
             models.insert(name, model);
         }
     }
 
     let mut ckt = Circuit::new();
-    let err_at = |line_no: usize, msg: String| -> SimError {
-        SimError::BadAnalysis(format!("line {line_no}: {msg}"))
-    };
+    let err_at = |line_no: usize, msg: String| at_line(line_no, SimError::BadAnalysis(msg));
     for (line_no, card) in &cards {
         let fields: Vec<&str> = card.split_whitespace().collect();
         let head = fields[0];
@@ -429,7 +437,7 @@ pub fn parse_netlist(src: &str) -> Result<Circuit, SimError> {
                 "unknown element type '{other}'"
             ))),
         })();
-        result.map_err(|e| err_at(*line_no, e.to_string()))?;
+        result.map_err(|e| at_line(*line_no, e))?;
     }
     Ok(ckt)
 }
@@ -577,6 +585,22 @@ C1 out 0 1u
         assert!(
             err.to_string().contains("unsupported control card"),
             "{err}"
+        );
+        // The line prefix wraps the inner message once.
+        let err = parse_netlist("t\nR1 a 0 1x2k\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad analysis spec: line 2: malformed number '1x2k'"
+        );
+        let err = parse_netlist("t\n.model QX NPN BF=100\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad analysis spec: line 2: unsupported .model type 'NPN'"
+        );
+        let err = parse_netlist("t\n.model DX D IS=1e-14\nR1 a 0 -1k\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad analysis spec: line 3: bad parameter on R1: resistance must be positive and finite, got -1000"
         );
     }
 

@@ -1,6 +1,7 @@
 //! Shape assertions for the paper's evaluation (E8 Fig. 7 and E9 timing):
 //! the behavioural comparator must agree with the transistor circuit on
-//! every strobed decision, and must cost less to simulate.
+//! every strobed decision, and must cost less to simulate; reusing the LU
+//! symbolic analysis must not change the comparator transient.
 
 use gabm::sim::analysis::tran::TranSpec;
 use gabm_bench::{behavioural_comparator_circuit, cmos_comparator_circuit, ComparatorStimulus};
@@ -60,4 +61,33 @@ fn discontinuities_do_not_break_convergence() {
     let w = r.voltage_waveform(bn[3]).unwrap();
     assert!(w.values().iter().all(|v| v.is_finite()));
     assert!(r.stats.accepted_steps > 50);
+}
+
+/// LU-reuse oracle on the E8/E9 comparator transient: numeric-only
+/// refactorization must retrace the full-factorization run exactly — the
+/// same Newton iterations, accepted and rejected steps, and a bitwise
+/// identical `outp` waveform.
+#[test]
+fn lu_reuse_retraces_full_factorization() {
+    let stim = ComparatorStimulus::default();
+    let run = |reuse_lu: bool| {
+        let (mut ckt, nodes) = behavioural_comparator_circuit(&stim).unwrap();
+        ckt.options.reuse_lu = reuse_lu;
+        let r = ckt.tran(&TranSpec::new(60.0e-6)).unwrap();
+        (r.stats, r.voltage_waveform(nodes[3]).unwrap())
+    };
+    let (full, w_full) = run(false);
+    let (reuse, w_reuse) = run(true);
+    assert_eq!(
+        full.refactorizations, 0,
+        "reuse off must always refactor fully"
+    );
+    assert!(
+        reuse.refactorizations > reuse.factorizations,
+        "reuse on must mostly refactor: {reuse:?}"
+    );
+    assert_eq!(full.newton_iterations, reuse.newton_iterations);
+    assert_eq!(full.accepted_steps, reuse.accepted_steps);
+    assert_eq!(full.rejected_steps, reuse.rejected_steps);
+    assert_eq!(w_full.rms_difference(&w_reuse).unwrap(), 0.0);
 }
