@@ -8,7 +8,7 @@
 //! dimension-inference chain, the full cycle path of an algebraic loop).
 
 use crate::diagram::{NetId, SymbolId};
-use crate::json::{schema, JsonError, Value};
+use crate::json::Value;
 use std::fmt;
 
 /// Stable diagnostic codes. The numeric ranges partition by analysis
@@ -106,11 +106,6 @@ impl Code {
         }
     }
 
-    /// Parses a stable code string (`"GABM001"`…) back into a [`Code`].
-    pub fn parse(s: &str) -> Option<Code> {
-        Code::ALL.iter().copied().find(|c| c.as_str() == s)
-    }
-
     /// Whether `gabm lint --fix` can attach a machine-applicable [`Fix`]
     /// to findings with this code (for at least some shapes of the
     /// finding; e.g. GABM022 is fixable for degenerate `limit` bounds but
@@ -202,18 +197,6 @@ pub enum Severity {
     Note,
 }
 
-impl Severity {
-    /// Parses the rendered form (`"error"` / `"warning"` / `"note"`).
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s {
-            "error" => Some(Severity::Error),
-            "warning" => Some(Severity::Warning),
-            "note" => Some(Severity::Note),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -249,39 +232,6 @@ pub enum Location {
         /// Column number.
         col: usize,
     },
-}
-
-impl Location {
-    /// Decodes the JSON form emitted for diagnostics (see
-    /// [`Diagnostic::to_json`]): `null` for no location, otherwise an
-    /// object keyed by the variant's fields.
-    pub fn from_json(value: &Value) -> Result<Self, JsonError> {
-        if matches!(value, Value::Null) {
-            return Ok(Location::None);
-        }
-        if let Some(port) = value.get("port") {
-            return Ok(Location::Port {
-                symbol: SymbolId(value.usize_field("symbol")?),
-                port: port.str()?.to_string(),
-            });
-        }
-        if value.get("symbol").is_some() {
-            return Ok(Location::Symbol(SymbolId(value.usize_field("symbol")?)));
-        }
-        if value.get("net").is_some() {
-            return Ok(Location::Net(NetId(value.usize_field("net")?)));
-        }
-        if value.get("statement").is_some() {
-            return Ok(Location::Statement(value.usize_field("statement")?));
-        }
-        if value.get("line").is_some() {
-            return Ok(Location::Source {
-                line: value.usize_field("line")?,
-                col: value.usize_field("col")?,
-            });
-        }
-        Err(schema("unrecognised diagnostic location"))
-    }
 }
 
 impl fmt::Display for Location {
@@ -373,19 +323,6 @@ impl Fix {
             ),
         ])
     }
-
-    /// Decodes the form produced by [`Fix::to_json`].
-    pub fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(Fix {
-            label: value.req("label")?.str()?.to_string(),
-            edits: value
-                .req("edits")?
-                .arr()?
-                .iter()
-                .map(FixEdit::from_json)
-                .collect::<Result<_, JsonError>>()?,
-        })
-    }
 }
 
 impl FixEdit {
@@ -431,45 +368,6 @@ impl FixEdit {
                 vec![("index", Value::Number(*index as f64))],
             ),
         }
-    }
-
-    /// Decodes the form produced by [`FixEdit::to_json`].
-    pub fn from_json(value: &Value) -> Result<Self, JsonError> {
-        if let Some(v) = value.get("ReplaceText") {
-            return Ok(FixEdit::ReplaceText {
-                start: v.usize_field("start")?,
-                end: v.usize_field("end")?,
-                text: v.req("text")?.str()?.to_string(),
-            });
-        }
-        if let Some(v) = value.get("RemoveSymbol") {
-            return Ok(FixEdit::RemoveSymbol {
-                symbol: SymbolId(v.usize_field("symbol")?),
-            });
-        }
-        if let Some(v) = value.get("SwapProperties") {
-            return Ok(FixEdit::SwapProperties {
-                symbol: SymbolId(v.usize_field("symbol")?),
-                first: v.req("first")?.str()?.to_string(),
-                second: v.req("second")?.str()?.to_string(),
-            });
-        }
-        if let Some(v) = value.get("RemoveParameter") {
-            return Ok(FixEdit::RemoveParameter {
-                name: v.req("name")?.str()?.to_string(),
-            });
-        }
-        if let Some(v) = value.get("RemoveIrStatement") {
-            return Ok(FixEdit::RemoveIrStatement {
-                index: v.usize_field("index")?,
-            });
-        }
-        if let Some(v) = value.get("SwapIrLimitBounds") {
-            return Ok(FixEdit::SwapIrLimitBounds {
-                index: v.usize_field("index")?,
-            });
-        }
-        Err(schema("unrecognised fix edit"))
     }
 }
 
@@ -570,48 +468,6 @@ impl Diagnostic {
         Value::Object(obj)
     }
 
-    /// Decodes the form produced by [`Diagnostic::to_json`]. Used by the
-    /// incremental re-lint cache to replay stored pass results.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError::Schema`] on unknown codes/severities or malformed
-    /// locations, fixes, or notes.
-    pub fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let code_str = value.req("code")?.str()?;
-        let code =
-            Code::parse(code_str).ok_or_else(|| schema(format!("unknown code '{code_str}'")))?;
-        let sev_str = value.req("severity")?.str()?;
-        let severity = Severity::parse(sev_str)
-            .ok_or_else(|| schema(format!("unknown severity '{sev_str}'")))?;
-        let message = value.req("message")?.str()?.to_string();
-        let location = Location::from_json(value.req("location")?)?;
-        let strings = |v: &Value| -> Result<Vec<String>, JsonError> {
-            v.arr()?.iter().map(|n| Ok(n.str()?.to_string())).collect()
-        };
-        let notes = match value.get("notes") {
-            None => Vec::new(),
-            Some(v) => strings(v)?,
-        };
-        let help = match value.get("help") {
-            None => Vec::new(),
-            Some(v) => strings(v)?,
-        };
-        let fix = match value.get("fix") {
-            None => None,
-            Some(v) => Some(Fix::from_json(v)?),
-        };
-        Ok(Diagnostic {
-            code,
-            severity,
-            message,
-            location,
-            notes,
-            help,
-            fix,
-        })
-    }
-
     fn location_json(&self) -> Value {
         match &self.location {
             Location::None => Value::Null,
@@ -667,9 +523,7 @@ mod tests {
         for c in all {
             assert!(c.as_str().starts_with("GABM"));
             assert!(!c.summary().is_empty());
-            assert_eq!(Code::parse(c.as_str()), Some(*c), "parse round-trip");
         }
-        assert_eq!(Code::parse("GABM999"), None);
     }
 
     #[test]
@@ -708,7 +562,80 @@ mod tests {
     }
 
     #[test]
-    fn diagnostic_json_round_trips_including_fix() {
+    fn every_location_encodes_exactly() {
+        let cases = [
+            (Location::None, "null"),
+            (Location::Symbol(SymbolId(2)), r#"{"symbol":2}"#),
+            (Location::Net(NetId(7)), r#"{"net":7}"#),
+            (
+                Location::Port {
+                    symbol: SymbolId(1),
+                    port: "in".into(),
+                },
+                r#"{"symbol":1,"port":"in"}"#,
+            ),
+            (Location::Statement(5), r#"{"statement":5}"#),
+            (
+                Location::Source { line: 9, col: 3 },
+                r#"{"line":9,"col":3}"#,
+            ),
+        ];
+        for (loc, json) in cases {
+            let d = Diagnostic::new(Code::MultipleDrivers, "m", loc);
+            assert_eq!(
+                d.to_json().to_string(),
+                format!(
+                    r#"{{"code":"GABM001","severity":"error","message":"m","location":{json}}}"#
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn every_fix_edit_encodes_exactly() {
+        let cases = [
+            (
+                FixEdit::ReplaceText {
+                    start: 0,
+                    end: 4,
+                    text: "x".into(),
+                },
+                r#"{"ReplaceText":{"start":0,"end":4,"text":"x"}}"#,
+            ),
+            (
+                FixEdit::RemoveSymbol {
+                    symbol: SymbolId(3),
+                },
+                r#"{"RemoveSymbol":{"symbol":3}}"#,
+            ),
+            (
+                FixEdit::SwapProperties {
+                    symbol: SymbolId(1),
+                    first: "min".into(),
+                    second: "max".into(),
+                },
+                r#"{"SwapProperties":{"symbol":1,"first":"min","second":"max"}}"#,
+            ),
+            (
+                FixEdit::RemoveParameter { name: "tau".into() },
+                r#"{"RemoveParameter":{"name":"tau"}}"#,
+            ),
+            (
+                FixEdit::RemoveIrStatement { index: 4 },
+                r#"{"RemoveIrStatement":{"index":4}}"#,
+            ),
+            (
+                FixEdit::SwapIrLimitBounds { index: 2 },
+                r#"{"SwapIrLimitBounds":{"index":2}}"#,
+            ),
+        ];
+        for (edit, json) in cases {
+            assert_eq!(edit.to_json().to_string(), json);
+        }
+    }
+
+    #[test]
+    fn diagnostic_with_notes_help_and_fix_encodes_exactly() {
         let d = Diagnostic::new(
             Code::FasDegenerateLimit,
             "limit(b, 10, -10) has lo > hi",
@@ -731,59 +658,24 @@ mod tests {
                 },
             ],
         ));
-        let text = d.to_json().to_string();
-        let back = Diagnostic::from_json(&Value::parse(&text).expect("valid JSON")).expect("shape");
-        assert_eq!(back, d);
+        assert_eq!(
+            d.to_json().to_string(),
+            concat!(
+                r#"{"code":"GABM035","severity":"error","#,
+                r#""message":"limit(b, 10, -10) has lo > hi","#,
+                r#""location":{"line":4,"col":1},"#,
+                r#""notes":["constant bounds fold to 10 > -10"],"#,
+                r#""help":["write the smaller bound first: limit(b, -10, 10)"],"#,
+                r#""fix":{"label":"swap the limit bounds","edits":["#,
+                r#"{"ReplaceText":{"start":50,"end":52,"text":"-10"}},"#,
+                r#"{"ReplaceText":{"start":54,"end":57,"text":"10"}}]}}"#,
+            )
+        );
     }
 
     #[test]
-    fn all_locations_and_edits_round_trip() {
-        let locations = [
-            Location::None,
-            Location::Symbol(SymbolId(2)),
-            Location::Net(NetId(7)),
-            Location::Port {
-                symbol: SymbolId(1),
-                port: "in".into(),
-            },
-            Location::Statement(5),
-            Location::Source { line: 9, col: 3 },
-        ];
-        for loc in locations {
-            let d = Diagnostic::new(Code::MultipleDrivers, "m", loc.clone());
-            let back =
-                Diagnostic::from_json(&Value::parse(&d.to_json().to_string()).unwrap()).unwrap();
-            assert_eq!(back.location, loc);
-        }
-        let edits = [
-            FixEdit::ReplaceText {
-                start: 0,
-                end: 4,
-                text: "x".into(),
-            },
-            FixEdit::RemoveSymbol {
-                symbol: SymbolId(3),
-            },
-            FixEdit::SwapProperties {
-                symbol: SymbolId(1),
-                first: "min".into(),
-                second: "max".into(),
-            },
-            FixEdit::RemoveParameter { name: "tau".into() },
-            FixEdit::RemoveIrStatement { index: 4 },
-            FixEdit::SwapIrLimitBounds { index: 2 },
-        ];
-        for edit in edits {
-            let v = Value::parse(&edit.to_json().to_string()).unwrap();
-            assert_eq!(FixEdit::from_json(&v).unwrap(), edit);
-        }
-    }
-
-    #[test]
-    fn note_severity_renders_and_parses() {
+    fn note_severity_renders() {
         assert_eq!(Severity::Note.to_string(), "note");
-        assert_eq!(Severity::parse("note"), Some(Severity::Note));
-        assert_eq!(Severity::parse("fatal"), None);
     }
 
     #[test]

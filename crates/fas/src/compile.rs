@@ -46,11 +46,12 @@ pub enum Func2 {
 }
 
 impl Func2 {
-    /// Evaluates the intrinsic (value lane semantics: `f64::min`/`max`).
+    /// Evaluates the intrinsic; `min`/`max` are [`crate::dual::min`] and
+    /// [`crate::dual::max`], which the dual lane shares.
     pub fn apply(self, a: f64, b: f64) -> f64 {
         match self {
-            Func2::Min => a.min(b),
-            Func2::Max => a.max(b),
+            Func2::Min => crate::dual::min(a, b),
+            Func2::Max => crate::dual::max(a, b),
             Func2::Pow => a.powf(b),
         }
     }

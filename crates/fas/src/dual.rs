@@ -8,6 +8,48 @@
 //! iteration interpreter work by ~8×, which is what makes the paper's §5
 //! behavioural-speedup ratio reachable.
 
+/// `min(a, b)` as every FAS evaluation lane computes it: `b` when it is
+/// strictly smaller or `a` is NaN, otherwise `a`. This is `f64::min`
+/// except that a tie (including `+0` against `-0`) always keeps `a`, so
+/// the result is fully specified and the value lane, the dual lane and
+/// the bytecode constant folder agree bit for bit.
+#[inline]
+pub fn min(a: f64, b: f64) -> f64 {
+    if min_takes_rhs(a, b) {
+        b
+    } else {
+        a
+    }
+}
+
+/// `max(a, b)`, the mirror of [`min`]: `b` when it is strictly larger or
+/// `a` is NaN, otherwise `a`.
+#[inline]
+pub fn max(a: f64, b: f64) -> f64 {
+    if max_takes_rhs(a, b) {
+        b
+    } else {
+        a
+    }
+}
+
+/// `limit(x, lo, hi)` = `min(max(x, lo), hi)`. With degenerate bounds
+/// (`lo > hi`) the result is `hi`, in every lane.
+#[inline]
+pub fn limit(x: f64, lo: f64, hi: f64) -> f64 {
+    min(max(x, lo), hi)
+}
+
+#[inline]
+fn min_takes_rhs(a: f64, b: f64) -> bool {
+    b < a || a.is_nan()
+}
+
+#[inline]
+fn max_takes_rhs(a: f64, b: f64) -> bool {
+    b > a || a.is_nan()
+}
+
 /// Maximum number of simultaneous tangents (pins) the dual pass supports;
 /// models with more pins fall back to finite differences.
 pub const MAX_TANGENTS: usize = 8;
@@ -52,6 +94,35 @@ impl Dual {
             *x *= derivative;
         }
         Dual { v: value, d }
+    }
+
+    /// [`min`] of the values, carrying the tangent of the operand it
+    /// selects.
+    #[inline]
+    pub fn min(self, rhs: Dual) -> Dual {
+        if min_takes_rhs(self.v, rhs.v) {
+            rhs
+        } else {
+            self
+        }
+    }
+
+    /// [`max`] of the values, carrying the tangent of the operand it
+    /// selects.
+    #[inline]
+    pub fn max(self, rhs: Dual) -> Dual {
+        if max_takes_rhs(self.v, rhs.v) {
+            rhs
+        } else {
+            self
+        }
+    }
+
+    /// [`limit`] of the values, carrying the tangent of the operand it
+    /// selects.
+    #[inline]
+    pub fn limit(self, lo: Dual, hi: Dual) -> Dual {
+        self.max(lo).min(hi)
     }
 
     /// Scales every tangent by `k` (value unchanged semantics handled by

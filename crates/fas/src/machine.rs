@@ -285,20 +285,8 @@ impl Pass<'_> {
                 let av = self.eval_dual(a);
                 let bv = self.eval_dual(b);
                 match f {
-                    Func2::Min => {
-                        if av.v <= bv.v {
-                            av
-                        } else {
-                            bv
-                        }
-                    }
-                    Func2::Max => {
-                        if av.v >= bv.v {
-                            av
-                        } else {
-                            bv
-                        }
-                    }
+                    Func2::Min => av.min(bv),
+                    Func2::Max => av.max(bv),
                     Func2::Pow => {
                         let value = av.v.powf(bv.v);
                         // d(a^b) = a^b (b' ln a + b a'/a); the ln-term only
@@ -322,13 +310,7 @@ impl Pass<'_> {
                 let xv = self.eval_dual(x);
                 let lov = self.eval_dual(lo);
                 let hiv = self.eval_dual(hi);
-                if xv.v < lov.v {
-                    lov
-                } else if xv.v > hiv.v {
-                    hiv
-                } else {
-                    xv
-                }
+                xv.limit(lov, hiv)
             }
             CExpr::Dt { inst, arg } => {
                 let av = self.eval_dual(arg);
@@ -416,7 +398,7 @@ impl Pass<'_> {
                 let xv = self.eval(x);
                 let lov = self.eval(lo);
                 let hiv = self.eval(hi);
-                xv.max(lov).min(hiv)
+                crate::dual::limit(xv, lov, hiv)
             }
             CExpr::Dt { inst, arg } => {
                 let v = self.eval(arg);
@@ -930,6 +912,57 @@ endmodel
                 }
             }
         }
+    }
+
+    /// Selections where a clamp and an if-chain (or `f64::min` and a `<=`
+    /// test) can disagree: degenerate `limit` bounds, a NaN operand and
+    /// `+0`/`-0` ties (the reciprocals expose the sign of a zero).
+    const SELECTION_EDGES: &str = "\
+model edges pin (a, b, c, d, e)
+analog
+make v = volt.value(a)
+make w = volt.value(b)
+make curr.on(a) = limit(v, 1, -1)
+make curr.on(b) = max(v, w / 0)
+make curr.on(c) = 1 / min(v, -v)
+make curr.on(d) = 1 / max(-v, v)
+make curr.on(e) = limit(0, 1, -1) + max(0, 0 / 0)
+endanalog
+endmodel
+";
+
+    /// The value lane and the dual lane compute one value, bit for bit,
+    /// and the dual lane carries the tangent of the operand it selected.
+    #[test]
+    fn lanes_agree_bitwise_on_selection_edges() {
+        let model = compile(SELECTION_EDGES).unwrap();
+        let mut m = model.instantiate(&BTreeMap::new()).unwrap();
+        let ctx = tran_ctx(1e-6, 1e-6);
+        for v in [
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [-0.0, -0.0, 0.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0, 0.0, 0.0],
+            [-3.0, -0.0, 0.0, 0.0, 0.0],
+        ] {
+            let mut value = [0.0; 5];
+            m.eval(&ctx, &v, &mut value);
+            let mut dual = [0.0; 5];
+            let mut jac = [0.0; 25];
+            assert!(m.eval_with_jacobian(&ctx, &v, &mut dual, &mut jac));
+            assert_eq!(value.map(f64::to_bits), dual.map(f64::to_bits), "v={v:?}");
+            // limit(v, 1, -1) is hi = -1 whatever v is: no dependence.
+            assert_eq!(value[0], -1.0);
+            assert_eq!(jac[..5], [0.0; 5]);
+            // max(v, w / 0) with w = ±0 is max(v, NaN): v, tangent included.
+            assert_eq!(value[1], v[0]);
+            assert_eq!(jac[5..10], [1.0, 0.0, 0.0, 0.0, 0.0]);
+            assert_eq!(value[4], -1.0);
+        }
+        // Ties keep the first operand: min(+0, -0) = +0, max(-0, +0) = -0.
+        let mut value = [0.0; 5];
+        m.eval(&ctx, &[0.0; 5], &mut value);
+        assert_eq!(value[2], f64::INFINITY);
+        assert_eq!(value[3], f64::NEG_INFINITY);
     }
 
     /// The full comparator model supports the analytic path (7 pins ≤ 8).

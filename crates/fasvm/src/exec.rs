@@ -9,7 +9,7 @@
 
 use crate::bytecode::{Op, Program};
 use gabm_fas::compile::{Func1, Func2};
-use gabm_fas::dual::{Dual, MAX_TANGENTS};
+use gabm_fas::dual::{limit, Dual, MAX_TANGENTS};
 use gabm_fas::machine::{sample_history, DC_PSEUDO_DT};
 use gabm_sim::devices::{BehavioralModel, EvalCtx};
 use std::collections::VecDeque;
@@ -183,10 +183,8 @@ impl FasVm {
                     s.regs[dst as usize] = f.apply(s.regs[a as usize], s.regs[b as usize]);
                 }
                 Op::Limit { dst, x, lo, hi } => {
-                    // Interpreter scalar lane: clamp via max/min.
-                    s.regs[dst as usize] = s.regs[x as usize]
-                        .max(s.regs[lo as usize])
-                        .min(s.regs[hi as usize]);
+                    s.regs[dst as usize] =
+                        limit(s.regs[x as usize], s.regs[lo as usize], s.regs[hi as usize]);
                 }
                 Op::Dt { dst, inst, a } => {
                     let v = s.regs[a as usize];
@@ -267,9 +265,9 @@ impl FasVm {
 
     /// One dual-number pass: pin voltages seed tangent lanes, imposes
     /// accumulate value + Jacobian row in a single walk. The numeric
-    /// special cases (min/max chains, `limit` ordering, `pow`
-    /// derivatives, tangent scaling of `dt`/`idt`) replicate the
-    /// interpreter's dual evaluator exactly.
+    /// special cases (`pow` derivatives, tangent scaling of `dt`/`idt`)
+    /// replicate the interpreter's dual evaluator exactly; `min`, `max`
+    /// and `limit` call the same [`Dual`] methods it does.
     #[allow(clippy::too_many_lines)]
     fn run_dual(&mut self, ctx: &EvalCtx, pin_v: &[f64]) {
         let mut s = std::mem::take(&mut self.scratch);
@@ -343,20 +341,8 @@ impl FasVm {
                     let av = s.regs_dual[a as usize];
                     let bv = s.regs_dual[b as usize];
                     s.regs_dual[dst as usize] = match f {
-                        Func2::Min => {
-                            if av.v <= bv.v {
-                                av
-                            } else {
-                                bv
-                            }
-                        }
-                        Func2::Max => {
-                            if av.v >= bv.v {
-                                av
-                            } else {
-                                bv
-                            }
-                        }
+                        Func2::Min => av.min(bv),
+                        Func2::Max => av.max(bv),
                         Func2::Pow => {
                             let value = av.v.powf(bv.v);
                             // d(a^b) = a^b (b' ln a + b a'/a); the
@@ -380,14 +366,7 @@ impl FasVm {
                     let xv = s.regs_dual[x as usize];
                     let lov = s.regs_dual[lo as usize];
                     let hiv = s.regs_dual[hi as usize];
-                    // Interpreter dual lane: if-chain, not clamp.
-                    s.regs_dual[dst as usize] = if xv.v < lov.v {
-                        lov
-                    } else if xv.v > hiv.v {
-                        hiv
-                    } else {
-                        xv
-                    };
+                    s.regs_dual[dst as usize] = xv.limit(lov, hiv);
                 }
                 Op::Dt { dst, inst, a } => {
                     let av = s.regs_dual[a as usize];

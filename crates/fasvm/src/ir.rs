@@ -5,11 +5,10 @@
 //! inline:
 //!
 //! - **Constant folding** — pure sub-expressions over literals collapse
-//!   at compile time. Folding is *lane-safe only*: `limit` folds only
-//!   with ordered finite bounds and `min`/`max` only with non-NaN
-//!   operands, because the interpreter's scalar lane (`f64::max`/`min`
-//!   clamp) and dual lane (`if`-chains) legitimately disagree on the
-//!   degenerate cases and the VM must reproduce *both* behaviours.
+//!   at compile time through the scalar lane's own functions
+//!   (`Func1::apply`, `Func2::apply`, `gabm_fas::dual::limit`), whose
+//!   values the dual lane reproduces bit for bit, so a folded constant is
+//!   what either lane would compute.
 //! - **Dead-branch elimination** — an `if` whose relational condition
 //!   folds keeps only the taken branch (constant condition operands are
 //!   side-effect free by construction, so skipping them is sound).
@@ -30,6 +29,7 @@
 use crate::bytecode::CompileStats;
 use gabm_fas::ast::{BinOp, RelOp};
 use gabm_fas::compile::{CCond, CExpr, CStmt, CompiledModel, Func1, Func2};
+use gabm_fas::dual::limit;
 use std::collections::HashMap;
 
 /// Virtual register: one per value definition (SSA-ish — nothing is
@@ -488,15 +488,8 @@ impl Lower {
                 let ao = self.expr(a);
                 let bo = self.expr(b);
                 if let (Operand::Const(av), Operand::Const(bv)) = (ao, bo) {
-                    // min/max fold only for non-NaN operands: the scalar
-                    // lane uses IEEE min/max (NaN-discarding) while the
-                    // dual lane uses `<=`/`>=` chains (NaN-propagating),
-                    // and a folded constant would collapse that split.
-                    let safe = matches!(f, Func2::Pow) || (!av.is_nan() && !bv.is_nan());
-                    if safe {
-                        self.stats.folded += 1;
-                        return Operand::Const(f.apply(av, bv));
-                    }
+                    self.stats.folded += 1;
+                    return Operand::Const(f.apply(av, bv));
                 }
                 let ar = self.reg(ao);
                 let br = self.reg(bo);
@@ -516,14 +509,8 @@ impl Lower {
                 if let (Operand::Const(xv), Operand::Const(lov), Operand::Const(hiv)) =
                     (xo, loo, hio)
                 {
-                    // Fold only the well-ordered, NaN-free case; for
-                    // degenerate bounds the scalar clamp and the dual
-                    // if-chain pick different lanes and the runtime op
-                    // must be kept.
-                    if lov <= hiv && !xv.is_nan() {
-                        self.stats.folded += 1;
-                        return Operand::Const(xv.max(lov).min(hiv));
-                    }
+                    self.stats.folded += 1;
+                    return Operand::Const(limit(xv, lov, hiv));
                 }
                 let xr = self.reg(xo);
                 let lor = self.reg(loo);

@@ -21,24 +21,18 @@
 //! Beyond reporting, the linter *repairs*: diagnostics whose defect has a
 //! single safe remedy carry a machine-applicable [`gabm_core::diag::Fix`],
 //! and the [`fix`] module applies them to a fixpoint (`gabm lint --fix`).
-//! Re-lints of unchanged inputs are served from a content-hash keyed
-//! per-pass [`cache`].
 //!
 //! The diagram-level passes live in `gabm_core::check` so that the code
 //! generator itself refuses any diagram with a lint error — the lint tool
 //! and the generator can never disagree about validity.
 
-pub mod cache;
 pub mod fas;
 pub mod fix;
 pub mod ir;
 pub mod registry;
 pub mod render;
 
-pub use cache::{content_hash, CacheStats, LintCache};
 pub use fix::{attach_fas_fixes, fix_code_ir, fix_diagram, fix_fas_source, FixOutcome};
 pub use gabm_core::diag::{Code, Diagnostic, Fix, FixEdit, Location, Severity};
-pub use registry::{
-    lint_diagram, lint_diagram_cached, lint_fas_source, lint_fas_source_cached, passes, Layer,
-};
-pub use render::{render_json, render_text, summarize, to_json, to_json_with_cache};
+pub use registry::{lint_diagram, lint_fas_source, passes, Layer};
+pub use render::{render_json, render_text, summarize, to_json};

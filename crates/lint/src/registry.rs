@@ -1,12 +1,11 @@
 //! The pass registry: one place that knows every analysis the toolchain
 //! can run, across all three representations.
 
-use crate::cache::{content_hash, LintCache, PassResults};
 use crate::fas::{lint_fas, FAS_PASSES};
 use crate::fix::attach_fas_fixes;
 use crate::ir::{lint_ir, IR_PASSES};
 use gabm_codegen::{lower, CodeIr, CodegenError};
-use gabm_core::check::{CheckReport, DIAGRAM_PASSES};
+use gabm_core::check::DIAGRAM_PASSES;
 use gabm_core::diag::Diagnostic;
 use gabm_core::diagram::FunctionalDiagram;
 use gabm_core::Severity;
@@ -89,85 +88,6 @@ pub fn lint_fas_source(src: &str) -> Result<Vec<Diagnostic>, FasError> {
     Ok(diags)
 }
 
-fn flatten(results: PassResults) -> Vec<Diagnostic> {
-    results.into_iter().flat_map(|(_, d)| d).collect()
-}
-
-/// [`lint_fas_source`] with per-pass result caching keyed by the source's
-/// content hash. A hit replays every pass's diagnostics (fixes included)
-/// without parsing or analysing; a miss runs the passes individually so
-/// their results can be stored for the next run.
-///
-/// # Errors
-///
-/// Propagates parse errors ([`FasError`]) on a cache miss; a hit cannot
-/// fail (an unparseable source never produced a cache entry).
-pub fn lint_fas_source_cached(
-    src: &str,
-    cache: &mut LintCache,
-) -> Result<Vec<Diagnostic>, FasError> {
-    let key = content_hash(src);
-    if let Some(stored) = cache.load("fas", key) {
-        return Ok(flatten(stored));
-    }
-    let model = gabm_fas::parse(src)?;
-    let mut results: PassResults = Vec::with_capacity(FAS_PASSES.len());
-    for (name, pass) in FAS_PASSES {
-        let mut diags = Vec::new();
-        pass(&model, &mut diags);
-        attach_fas_fixes(src, &mut diags);
-        cache.stats.passes_run += 1;
-        results.push(((*name).to_string(), diags));
-    }
-    cache.store("fas", key, &results);
-    Ok(flatten(results))
-}
-
-/// [`lint_diagram`] with per-pass result caching keyed by the content hash
-/// of the diagram's serialized JSON (`src_text`). Diagram passes share no
-/// state through the [`CheckReport`] (dimension inference both derives and
-/// reports within one pass), so running each into a fresh report yields
-/// the same diagnostics in the same order as [`gabm_core::check_diagram`].
-pub fn lint_diagram_cached(
-    diagram: &FunctionalDiagram,
-    src_text: &str,
-    cache: &mut LintCache,
-) -> Vec<Diagnostic> {
-    let key = content_hash(src_text);
-    if let Some(stored) = cache.load("diagram", key) {
-        return flatten(stored);
-    }
-    let mut results: PassResults = Vec::with_capacity(DIAGRAM_PASSES.len() + IR_PASSES.len());
-    for (name, pass) in DIAGRAM_PASSES {
-        let mut report = CheckReport::default();
-        pass(diagram, &mut report);
-        cache.stats.passes_run += 1;
-        results.push(((*name).to_string(), report.diagnostics));
-    }
-    let has_errors = results
-        .iter()
-        .flat_map(|(_, d)| d)
-        .any(|d| d.severity == Severity::Error);
-    if !has_errors {
-        match lower(diagram) {
-            Ok(ir) => {
-                for (name, pass) in IR_PASSES {
-                    let mut diags = Vec::new();
-                    pass(&ir, &mut diags);
-                    cache.stats.passes_run += 1;
-                    results.push(((*name).to_string(), diags));
-                }
-            }
-            Err(CodegenError::Inconsistent(r)) => {
-                results.push(("lowering".to_string(), r.diagnostics));
-            }
-            Err(_) => {}
-        }
-    }
-    cache.store("diagram", key, &results);
-    flatten(results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,59 +133,5 @@ mod tests {
             .find(|d| d.code == Code::FasUnusedVariable)
             .expect("unused-variable diagnostic");
         assert!(unused.fix.is_some(), "source lint attaches autofixes");
-    }
-
-    #[test]
-    fn cached_fas_lint_matches_uncached_and_hits_on_second_run() {
-        let src = "model t pin(a, b) analog\nmake x = volt.value(a)\nmake dead = 1\nmake curr.on(b) = x\nendanalog endmodel\n";
-        let dir = std::env::temp_dir().join(format!("gabm-reg-fas-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cache = LintCache::new(dir.clone());
-        let cold = lint_fas_source_cached(src, &mut cache).unwrap();
-        assert_eq!(cold, lint_fas_source(src).unwrap());
-        assert_eq!(cache.stats.passes_run, FAS_PASSES.len());
-        assert_eq!(cache.stats.passes_skipped, 0);
-
-        let mut warm = LintCache::new(dir.clone());
-        let replayed = lint_fas_source_cached(src, &mut warm).unwrap();
-        assert_eq!(replayed, cold);
-        assert_eq!(warm.stats.passes_run, 0);
-        assert_eq!(warm.stats.passes_skipped, FAS_PASSES.len());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cached_diagram_lint_matches_uncached_and_hits_on_second_run() {
-        let d = InputStageSpec::new("in", 1e-6, 5e-12).diagram().unwrap();
-        let text = gabm_core::json::to_string_pretty(&d);
-        let dir = std::env::temp_dir().join(format!("gabm-reg-diag-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cache = LintCache::new(dir.clone());
-        let cold = lint_diagram_cached(&d, &text, &mut cache);
-        assert_eq!(cold, lint_diagram(&d));
-        assert_eq!(
-            cache.stats.passes_run,
-            DIAGRAM_PASSES.len() + IR_PASSES.len()
-        );
-
-        let mut warm = LintCache::new(dir.clone());
-        assert_eq!(lint_diagram_cached(&d, &text, &mut warm), cold);
-        assert_eq!(warm.stats.passes_run, 0);
-        assert_eq!(
-            warm.stats.passes_skipped,
-            DIAGRAM_PASSES.len() + IR_PASSES.len()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn erroneous_diagram_cached_skips_ir_passes() {
-        let mut d = FunctionalDiagram::new("bad");
-        let _ = d.add_symbol(SymbolKind::Gain);
-        let text = gabm_core::json::to_string_pretty(&d);
-        let mut cache = LintCache::disabled();
-        let diags = lint_diagram_cached(&d, &text, &mut cache);
-        assert_eq!(diags, lint_diagram(&d));
-        assert_eq!(cache.stats.passes_run, DIAGRAM_PASSES.len());
     }
 }

@@ -1,6 +1,5 @@
 //! Human-readable and machine-readable rendering of lint results.
 
-use crate::cache::CacheStats;
 use gabm_core::diag::{Diagnostic, Severity};
 use gabm_core::json::Value;
 
@@ -56,32 +55,6 @@ pub fn to_json(diags: &[Diagnostic]) -> Value {
         ("warnings".to_string(), Value::Number(warnings as f64)),
         ("notes".to_string(), Value::Number(notes as f64)),
     ])
-}
-
-/// [`to_json`] plus a `"cache"` object reporting pass-execution accounting
-/// for the run: `{"passes_total": n, "passes_run": n, "passes_skipped": n}`.
-pub fn to_json_with_cache(diags: &[Diagnostic], stats: &CacheStats) -> Value {
-    let Value::Object(mut fields) = to_json(diags) else {
-        unreachable!("to_json always returns an object");
-    };
-    fields.push((
-        "cache".to_string(),
-        Value::Object(vec![
-            (
-                "passes_total".to_string(),
-                Value::Number(stats.total() as f64),
-            ),
-            (
-                "passes_run".to_string(),
-                Value::Number(stats.passes_run as f64),
-            ),
-            (
-                "passes_skipped".to_string(),
-                Value::Number(stats.passes_skipped as f64),
-            ),
-        ]),
-    ));
-    Value::Object(fields)
 }
 
 /// [`to_json`] serialized to text.
@@ -153,24 +126,5 @@ mod tests {
         assert_eq!(v.get("notes").and_then(Value::as_f64), Some(1.0));
         let text = render_text(&diags);
         assert!(text.contains("1 error(s), 1 warning(s), 1 note(s)"));
-    }
-
-    #[test]
-    fn cache_stats_appear_in_json() {
-        let stats = CacheStats {
-            passes_run: 3,
-            passes_skipped: 12,
-        };
-        let v = to_json_with_cache(&sample(), &stats);
-        let cache = v.get("cache").expect("cache object");
-        assert_eq!(
-            cache.get("passes_total").and_then(Value::as_f64),
-            Some(15.0)
-        );
-        assert_eq!(cache.get("passes_run").and_then(Value::as_f64), Some(3.0));
-        assert_eq!(
-            cache.get("passes_skipped").and_then(Value::as_f64),
-            Some(12.0)
-        );
     }
 }

@@ -39,7 +39,7 @@ cargo test --release --offline --quiet --manifest-path perfbench/Cargo.toml
 echo "==> gabm lint --fix --dry-run smoke"
 GABM=target/release/gabm
 for f in tests/fixtures/*.fas; do
-    out=$("$GABM" lint "$f" --fix --dry-run --no-cache --format json) || status=$?
+    out=$("$GABM" lint "$f" --fix --dry-run --format json) || status=$?
     status=${status:-0}
     if [ "$status" -ge 2 ]; then
         echo "FAIL: gabm lint --fix --dry-run $f exited $status" >&2
@@ -52,7 +52,7 @@ for f in tests/fixtures/*.fas; do
     status=0
 done
 for c in input-stage output-stage power-supply slew-rate; do
-    out=$("$GABM" lint --construct "$c" --fix --dry-run --no-cache --format json) || {
+    out=$("$GABM" lint --construct "$c" --fix --dry-run --format json) || {
         echo "FAIL: gabm lint --fix --dry-run --construct $c failed" >&2
         exit 1
     }
@@ -112,7 +112,7 @@ done
 # validator (the --trace plumbing is shared with the harness).
 echo "==> gabm --trace smoke"
 rm -f TRACE_lint.json
-"$GABM" lint --construct slew-rate --no-cache --trace TRACE_lint.json
+"$GABM" lint --construct slew-rate --trace TRACE_lint.json
 "$GABM" trace TRACE_lint.json > /dev/null
 rm -f TRACE_lint.json
 

@@ -19,10 +19,8 @@
 //!
 //! `--fix` applies every machine-applicable fix to a fixpoint and writes
 //! the repaired input back (`--dry-run` reports without writing).
-//! Re-lints are served from a content-hash keyed cache under
-//! `target/gabm-lint-cache/` (override with `GABM_LINT_CACHE_DIR`,
-//! disable with `--no-cache`); `--format json` reports pass-level
-//! hit statistics in a `"cache"` object.
+//! `gabm lint` runs the passes on every invocation and keeps no state
+//! between runs.
 //!
 //! `--trace <out.json>` (env fallback: `GABM_TRACE`) records a Chrome
 //! trace-event file of any command — spans from the simulator, bytecode
@@ -35,8 +33,8 @@
 use gabm::core::constructs::{InputStageSpec, OutputStageSpec, PowerSupplySpec, SlewRateSpec};
 use gabm::core::json::{from_str, to_string_pretty, Value};
 use gabm::lint::{
-    fix_diagram, fix_fas_source, lint_diagram_cached, lint_fas_source_cached, passes, render_text,
-    summarize, to_json, to_json_with_cache, Diagnostic, FixOutcome, LintCache,
+    fix_diagram, fix_fas_source, lint_diagram, lint_fas_source, passes, render_text, summarize,
+    to_json, Diagnostic, FixOutcome,
 };
 use std::process::ExitCode;
 
@@ -72,7 +70,6 @@ options:
   --fix                apply machine-applicable fixes to a fixpoint and
                        write the repaired input back
   --dry-run            with --fix: report the fixes without writing
-  --no-cache           disable the content-hash re-lint cache
   --list-passes        list every registered pass and exit
 ";
 
@@ -108,7 +105,6 @@ struct LintArgs {
     list_passes: bool,
     fix: bool,
     dry_run: bool,
-    no_cache: bool,
 }
 
 fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
@@ -120,7 +116,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
         list_passes: false,
         fix: false,
         dry_run: false,
-        no_cache: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -141,7 +136,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
             "--list-passes" => out.list_passes = true,
             "--fix" => out.fix = true,
             "--dry-run" => out.dry_run = true,
-            "--no-cache" => out.no_cache = true,
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag '{other}'"));
             }
@@ -190,19 +184,9 @@ fn is_diagram_input(path: &str, text: &str) -> bool {
     lower.ends_with(".json") || text.trim_start().starts_with('{')
 }
 
-fn make_cache(args: &LintArgs) -> LintCache {
-    if args.no_cache {
-        LintCache::disabled()
-    } else {
-        LintCache::new(LintCache::default_dir())
-    }
-}
-
-fn lint_input(args: &LintArgs, cache: &mut LintCache) -> Result<Vec<Diagnostic>, String> {
+fn lint_input(args: &LintArgs) -> Result<Vec<Diagnostic>, String> {
     if let Some(name) = &args.construct {
-        let diagram = construct_diagram(name)?;
-        let text = to_string_pretty(&diagram);
-        return Ok(lint_diagram_cached(&diagram, &text, cache));
+        return Ok(lint_diagram(&construct_diagram(name)?));
     }
     let Some(path) = &args.input else {
         return Err("no input file (or --construct) given".to_string());
@@ -211,9 +195,9 @@ fn lint_input(args: &LintArgs, cache: &mut LintCache) -> Result<Vec<Diagnostic>,
     if is_diagram_input(path, &text) {
         let diagram: gabm::core::FunctionalDiagram =
             from_str(&text).map_err(|e| format!("'{path}' is not a diagram: {e}"))?;
-        Ok(lint_diagram_cached(&diagram, &text, cache))
+        Ok(lint_diagram(&diagram))
     } else {
-        lint_fas_source_cached(&text, cache).map_err(|e| format!("'{path}': {e}"))
+        lint_fas_source(&text).map_err(|e| format!("'{path}': {e}"))
     }
 }
 
@@ -294,8 +278,6 @@ fn run_lint(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     if args.fix {
-        // The fixer re-lints mutated content every round, so the cache
-        // cannot help; every round runs fresh.
         let (outcome, written) = fix_input(&args)?;
         match args.format {
             Format::Text => {
@@ -322,11 +304,10 @@ fn run_lint(args: &[String]) -> Result<ExitCode, String> {
         }
         return Ok(exit_code_for(&outcome.remaining, args.deny_warnings));
     }
-    let mut cache = make_cache(&args);
-    let diags = lint_input(&args, &mut cache)?;
+    let diags = lint_input(&args)?;
     match args.format {
         Format::Text => print!("{}", render_text(&diags)),
-        Format::Json => println!("{}", to_json_with_cache(&diags, &cache.stats)),
+        Format::Json => println!("{}", to_json(&diags)),
     }
     Ok(exit_code_for(&diags, args.deny_warnings))
 }

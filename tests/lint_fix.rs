@@ -65,7 +65,7 @@ fn unused_variable_fixture_lints_clean_after_fix() {
         "dead assignment deleted: {fixed}"
     );
     // The repaired file lints clean, even under --deny-warnings.
-    let out = gabm(&["lint", path, "--deny-warnings", "--no-cache"]);
+    let out = gabm(&["lint", path, "--deny-warnings"]);
     assert_eq!(exit_code(&out), 0, "{out:?}");
 }
 
@@ -194,7 +194,7 @@ fn diagram_file_fix_repairs_multiple_codes_in_place() {
     }
     assert_eq!(report.get("written").and_then(Value::as_bool), Some(true));
     // The rewritten diagram file lints clean end to end (diagram + IR).
-    let out = gabm(&["lint", path, "--deny-warnings", "--no-cache"]);
+    let out = gabm(&["lint", path, "--deny-warnings"]);
     assert_eq!(exit_code(&out), 0, "{out:?}");
     let d: FunctionalDiagram =
         gabm::core::json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
