@@ -206,14 +206,8 @@ impl Scalar for Complex64 {
     fn zero() -> Self {
         Complex64::ZERO
     }
-    fn one() -> Self {
-        Complex64::ONE
-    }
     fn magnitude(&self) -> f64 {
         self.abs()
-    }
-    fn from_f64(x: f64) -> Self {
-        Complex64::from_real(x)
     }
 }
 
@@ -295,7 +289,6 @@ mod tests {
     #[test]
     fn scalar_impl() {
         assert_eq!(<Complex64 as Scalar>::zero(), Complex64::ZERO);
-        assert_eq!(<Complex64 as Scalar>::one(), Complex64::ONE);
         assert!(close(Complex64::new(3.0, 4.0).magnitude(), 5.0));
     }
 }

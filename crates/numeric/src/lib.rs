@@ -3,18 +3,17 @@
 //! This crate provides everything the analogue simulator (`gabm-sim`) and the
 //! characterization tool (`gabm-charac`) need from numerical mathematics:
 //!
-//! * [`dense`] — dense matrices generic over a [`Scalar`] (real or complex);
-//! * [`lu`] — LU factorization with partial pivoting, again generic, used for
-//!   both the real Newton iterations of transient analysis and the complex
-//!   solves of AC small-signal analysis;
-//! * [`sparse`] — compressed sparse column matrices with a triplet builder;
+//! * [`sparse`] — compressed sparse column matrices with a triplet builder,
+//!   generic over a [`Scalar`] (real or complex);
 //! * [`splu`] — a left-looking (Gilbert–Peierls) sparse LU with partial
-//!   pivoting for larger modified-nodal-analysis systems;
+//!   pivoting and numeric refactorization, again generic: the one solver
+//!   behind the real Newton iterations of DC and transient analysis and the
+//!   complex solves of AC small-signal analysis;
 //! * [`complex`] — a self-contained [`Complex64`] (no external dependency);
 //! * [`newton`] — SPICE-style convergence criteria and damping helpers;
 //! * [`integrate`] — backward-Euler / trapezoidal / Gear-2 integration
 //!   coefficients and a local-truncation-error step controller;
-//! * [`interp`] — linear and monotone cubic interpolation;
+//! * [`interp`] — linear interpolation;
 //! * [`waveform`] — sampled signals with arithmetic;
 //! * [`measure`] — waveform measurements (crossings, rise time, overshoot,
 //!   RMS, propagation delay, …) used by the extraction rigs.
@@ -22,23 +21,29 @@
 //! # Example
 //!
 //! ```
-//! use gabm_numeric::dense::DenseMatrix;
-//! use gabm_numeric::lu::LuFactor;
+//! use gabm_numeric::{Complex64, SparseLu, TripletBuilder};
 //!
 //! # fn main() -> Result<(), gabm_numeric::NumericError> {
-//! let a = DenseMatrix::from_rows(&[&[4.0, 1.0][..], &[1.0, 3.0][..]])?;
-//! let lu = LuFactor::new(&a)?;
-//! let x = lu.solve(&[1.0, 2.0])?;
+//! let mut b = TripletBuilder::new(2, 2);
+//! b.push(0, 0, 4.0);
+//! b.push(0, 1, 1.0);
+//! b.push(1, 0, 1.0);
+//! b.push(1, 1, 3.0);
+//! let x = SparseLu::new(&b.to_csc())?.solve(&[1.0, 2.0])?;
 //! assert!((4.0 * x[0] + x[1] - 1.0).abs() < 1e-12);
+//!
+//! // The same code solves complex systems: (1 + j)·z = 2.
+//! let mut c = TripletBuilder::new(1, 1);
+//! c.push(0, 0, Complex64::new(1.0, 1.0));
+//! let z = SparseLu::new(&c.to_csc())?.solve(&[Complex64::from_real(2.0)])?;
+//! assert!((z[0] - Complex64::new(1.0, -1.0)).abs() < 1e-15);
 //! # Ok(())
 //! # }
 //! ```
 
 pub mod complex;
-pub mod dense;
 pub mod integrate;
 pub mod interp;
-pub mod lu;
 pub mod measure;
 pub mod newton;
 pub mod plot;
@@ -48,8 +53,6 @@ pub mod splu;
 pub mod waveform;
 
 pub use complex::Complex64;
-pub use dense::DenseMatrix;
-pub use lu::LuFactor;
 pub use rng::Rng;
 pub use sparse::{SparseMatrix, TripletBuilder};
 pub use splu::SparseLu;
@@ -110,10 +113,10 @@ impl fmt::Display for NumericError {
 
 impl std::error::Error for NumericError {}
 
-/// Field element usable by the generic dense linear algebra.
+/// Field element usable by the generic sparse linear algebra.
 ///
 /// Implemented for `f64` and [`Complex64`]. [`Scalar::magnitude`] is used by
-/// partial pivoting; [`Scalar::from_f64`] lifts real constants into the field.
+/// partial pivoting.
 pub trait Scalar:
     Copy
     + fmt::Debug
@@ -123,29 +126,21 @@ pub trait Scalar:
     + std::ops::Mul<Output = Self>
     + std::ops::Div<Output = Self>
     + std::ops::Neg<Output = Self>
+    + std::ops::AddAssign
+    + std::ops::SubAssign
 {
     /// Additive identity.
     fn zero() -> Self;
-    /// Multiplicative identity.
-    fn one() -> Self;
     /// Modulus (absolute value) used for pivot selection.
     fn magnitude(&self) -> f64;
-    /// Lift a real number into the field.
-    fn from_f64(x: f64) -> Self;
 }
 
 impl Scalar for f64 {
     fn zero() -> Self {
         0.0
     }
-    fn one() -> Self {
-        1.0
-    }
     fn magnitude(&self) -> f64 {
         self.abs()
-    }
-    fn from_f64(x: f64) -> Self {
-        x
     }
 }
 
@@ -172,9 +167,7 @@ mod tests {
     #[test]
     fn f64_scalar_impl() {
         assert_eq!(<f64 as Scalar>::zero(), 0.0);
-        assert_eq!(<f64 as Scalar>::one(), 1.0);
         assert_eq!((-3.0f64).magnitude(), 3.0);
-        assert_eq!(<f64 as Scalar>::from_f64(2.5), 2.5);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! entries at fixed positions. The [`TripletBuilder`] accepts duplicate
 //! coordinates and sums them on conversion, which makes stamping trivial; the
 //! resulting [`SparseMatrix`] is consumed by the sparse LU in [`crate::splu`].
+//! Both are generic over the [`Scalar`] field: real (`f64`, the default)
+//! for DC and transient Newton systems, [`crate::Complex64`] for AC.
 
-use crate::NumericError;
+use crate::{NumericError, Scalar};
 
 /// Coordinate-format builder for sparse matrices.
 ///
@@ -27,13 +29,13 @@ use crate::NumericError;
 /// assert_eq!(m.nnz(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct TripletBuilder {
+pub struct TripletBuilder<T = f64> {
     rows: usize,
     cols: usize,
-    entries: Vec<(usize, usize, f64)>,
+    entries: Vec<(usize, usize, T)>,
 }
 
-impl TripletBuilder {
+impl<T: Scalar> TripletBuilder<T> {
     /// Creates an empty builder for a `rows × cols` matrix.
     pub fn new(rows: usize, cols: usize) -> Self {
         TripletBuilder {
@@ -48,7 +50,7 @@ impl TripletBuilder {
     /// # Panics
     ///
     /// Panics if the coordinate is out of bounds.
-    pub fn push(&mut self, row: usize, col: usize, value: f64) {
+    pub fn push(&mut self, row: usize, col: usize, value: T) {
         assert!(
             row < self.rows && col < self.cols,
             "triplet ({row}, {col}) out of bounds for {}x{}",
@@ -74,7 +76,7 @@ impl TripletBuilder {
     }
 
     /// Converts to compressed sparse column form, summing duplicates.
-    pub fn to_csc(&self) -> SparseMatrix {
+    pub fn to_csc(&self) -> SparseMatrix<T> {
         // Count entries per column after an in-column sort; do a simple
         // sort of a copy (assembly is not the hot path — factorization is).
         let mut sorted = self.entries.clone();
@@ -90,7 +92,7 @@ impl TripletBuilder {
                 if c != col {
                     break;
                 }
-                let mut sum = 0.0;
+                let mut sum = T::zero();
                 while let Some(&(r2, c2, v2)) = it.peek() {
                     if r2 == r && c2 == c {
                         sum += v2;
@@ -114,17 +116,17 @@ impl TripletBuilder {
     }
 }
 
-/// A real matrix in compressed sparse column format.
+/// A matrix in compressed sparse column format.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SparseMatrix {
+pub struct SparseMatrix<T = f64> {
     rows: usize,
     cols: usize,
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
-    values: Vec<f64>,
+    values: Vec<T>,
 }
 
-impl SparseMatrix {
+impl<T: Scalar> SparseMatrix<T> {
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -140,12 +142,12 @@ impl SparseMatrix {
         self.values.len()
     }
 
-    /// Returns the entry at `(row, col)`, or `0.0` if structurally absent.
-    pub fn get(&self, row: usize, col: usize) -> f64 {
+    /// Returns the entry at `(row, col)`, or zero if structurally absent.
+    pub fn get(&self, row: usize, col: usize) -> T {
         let (lo, hi) = (self.col_ptr[col], self.col_ptr[col + 1]);
         match self.row_idx[lo..hi].binary_search(&row) {
             Ok(pos) => self.values[lo + pos],
-            Err(_) => 0.0,
+            Err(_) => T::zero(),
         }
     }
 
@@ -160,13 +162,13 @@ impl SparseMatrix {
     }
 
     /// Value of every structural entry, column-major.
-    pub fn values(&self) -> &[f64] {
+    pub fn values(&self) -> &[T] {
         &self.values
     }
 
     /// Mutable values; the structural pattern stays fixed, so a caller can
     /// reassemble a matrix in place.
-    pub fn values_mut(&mut self) -> &mut [f64] {
+    pub fn values_mut(&mut self) -> &mut [T] {
         &mut self.values
     }
 
@@ -185,7 +187,7 @@ impl SparseMatrix {
     /// Explicit zeros are structural, so two value sets assembled at the
     /// same stamp positions share a pattern — the condition under which
     /// [`crate::SparseLu::refactor`] can reuse a symbolic analysis.
-    pub fn same_pattern(&self, other: &SparseMatrix) -> bool {
+    pub fn same_pattern(&self, other: &SparseMatrix<T>) -> bool {
         self.rows == other.rows
             && self.cols == other.cols
             && self.col_ptr == other.col_ptr
@@ -194,7 +196,7 @@ impl SparseMatrix {
 
     /// Iterates over the structural entries of column `col` as
     /// `(row, value)` pairs.
-    pub fn col_iter(&self, col: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub fn col_iter(&self, col: usize) -> impl Iterator<Item = (usize, T)> + '_ {
         let (lo, hi) = (self.col_ptr[col], self.col_ptr[col + 1]);
         self.row_idx[lo..hi]
             .iter()
@@ -207,18 +209,18 @@ impl SparseMatrix {
     /// # Errors
     ///
     /// Returns [`NumericError::DimensionMismatch`] if `x.len() != cols`.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>, NumericError> {
+    pub fn mul_vec(&self, x: &[T]) -> Result<Vec<T>, NumericError> {
         if x.len() != self.cols {
             return Err(NumericError::DimensionMismatch {
                 expected: self.cols,
                 found: x.len(),
             });
         }
-        let mut y = vec![0.0; self.rows];
+        let mut y = vec![T::zero(); self.rows];
         #[allow(clippy::needless_range_loop)]
         for col in 0..self.cols {
             let xc = x[col];
-            if xc == 0.0 {
+            if xc == T::zero() {
                 continue;
             }
             for (row, v) in self.col_iter(col) {
@@ -229,7 +231,7 @@ impl SparseMatrix {
     }
 }
 
-impl std::ops::Index<(usize, usize)> for SparseMatrix {
+impl std::ops::Index<(usize, usize)> for SparseMatrix<f64> {
     type Output = f64;
 
     /// Entry `(row, col)`; structurally absent entries read as `0.0`.

@@ -1,12 +1,14 @@
 //! Left-looking (Gilbert–Peierls) sparse LU factorization with partial
 //! pivoting, plus KLU-style numeric refactorization.
 //!
-//! This is the simulator's only real-valued solver: every DC and transient
-//! Newton iteration, whatever the circuit size, factors through it (the
-//! dense [`crate::LuFactor`] serves complex AC solves and test oracles).
+//! This is the simulator's only linear solver, generic over the [`Scalar`]
+//! field: every DC and transient Newton iteration factors through
+//! `SparseLu<f64>`, every AC frequency point through
+//! `SparseLu<`[`Complex64`](crate::Complex64)`>`, whatever the circuit size.
 //!
 //! A Newton loop refactors the *same* sparsity pattern every iteration —
-//! only the values change. [`SparseLu::new`] therefore records the input
+//! only the values change, as they do between the points of an AC sweep.
+//! [`SparseLu::new`] therefore records the input
 //! pattern and stores the `L`/`U` patterns complete (structural zeros
 //! included) with each `U` column in elimination order, so that
 //! [`SparseLu::refactor`] can replay the numeric sweep against the frozen
@@ -16,7 +18,7 @@
 //! against caller-owned buffers, so a Newton iteration allocates nothing.
 
 use crate::sparse::SparseMatrix;
-use crate::NumericError;
+use crate::{NumericError, Scalar};
 
 /// Sparse LU factors of a square [`SparseMatrix`], `P·A = L·U`.
 ///
@@ -38,17 +40,17 @@ use crate::NumericError;
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct SparseLu {
+pub struct SparseLu<T = f64> {
     n: usize,
     // L in CSC without the unit diagonal.
     l_col_ptr: Vec<usize>,
     l_row_idx: Vec<usize>,
-    l_values: Vec<f64>,
+    l_values: Vec<T>,
     // U in CSC, entries in elimination (topological) order with the
     // diagonal last in each column — the order `refactor` replays.
     u_col_ptr: Vec<usize>,
     u_row_idx: Vec<usize>,
-    u_values: Vec<f64>,
+    u_values: Vec<T>,
     /// `perm[i]` = original row placed at position `i`.
     perm: Vec<usize>,
     // Structural pattern of the factored input, kept so `refactor` can
@@ -57,16 +59,18 @@ pub struct SparseLu {
     a_row_idx: Vec<usize>,
 }
 
+/// Pivots of smaller [`Scalar::magnitude`] count as zero.
 const PIVOT_EPS: f64 = 1e-13;
 
-impl SparseLu {
-    /// Factorizes `a` column by column with partial pivoting.
+impl<T: Scalar> SparseLu<T> {
+    /// Factorizes `a` column by column with partial pivoting on the
+    /// largest [`Scalar::magnitude`].
     ///
     /// # Errors
     ///
     /// * [`NumericError::DimensionMismatch`] if `a` is not square.
     /// * [`NumericError::Singular`] if a column yields no usable pivot.
-    pub fn new(a: &SparseMatrix) -> Result<Self, NumericError> {
+    pub fn new(a: &SparseMatrix<T>) -> Result<Self, NumericError> {
         if a.rows() != a.cols() {
             return Err(NumericError::DimensionMismatch {
                 expected: a.rows(),
@@ -81,13 +85,13 @@ impl SparseLu {
 
         let mut l_col_ptr = vec![0usize];
         let mut l_row_idx: Vec<usize> = Vec::new();
-        let mut l_values: Vec<f64> = Vec::new();
+        let mut l_values: Vec<T> = Vec::new();
         let mut u_col_ptr = vec![0usize];
         let mut u_row_idx: Vec<usize> = Vec::new();
-        let mut u_values: Vec<f64> = Vec::new();
+        let mut u_values: Vec<T> = Vec::new();
 
         // Dense work vector + occupancy pattern per column.
-        let mut work = vec![0.0f64; n];
+        let mut work = vec![T::zero(); n];
         let mut pattern: Vec<usize> = Vec::with_capacity(n);
         let mut in_pattern = vec![false; n];
         // Explicit DFS stack: (original_row, next child index to visit).
@@ -149,7 +153,7 @@ impl SparseLu {
                 let xr = work[r];
                 u_row_idx.push(pos);
                 u_values.push(xr);
-                if xr == 0.0 {
+                if xr == T::zero() {
                     continue;
                 }
                 let (lo, hi) = (l_col_ptr[pos], l_col_ptr[pos + 1]);
@@ -162,7 +166,7 @@ impl SparseLu {
             let mut pivot_mag = 0.0f64;
             for &r in &pattern {
                 if pinv[r] == usize::MAX {
-                    let m = work[r].abs();
+                    let m = work[r].magnitude();
                     if m > pivot_mag {
                         pivot_mag = m;
                         pivot_row = r;
@@ -191,7 +195,7 @@ impl SparseLu {
             l_col_ptr.push(l_row_idx.len());
             // Reset work/pattern.
             for &r in &pattern {
-                work[r] = 0.0;
+                work[r] = T::zero();
                 in_pattern[r] = false;
             }
         }
@@ -211,7 +215,7 @@ impl SparseLu {
 
     /// `true` if `a` has the structural pattern this factorization was
     /// built for, i.e. [`SparseLu::refactor`] will accept it.
-    pub fn pattern_matches(&self, a: &SparseMatrix) -> bool {
+    pub fn pattern_matches(&self, a: &SparseMatrix<T>) -> bool {
         a.rows() == self.n
             && a.cols() == self.n
             && a.col_ptr() == &self.a_col_ptr[..]
@@ -238,7 +242,7 @@ impl SparseLu {
     /// * [`NumericError::Singular`] if a frozen pivot becomes numerically
     ///   zero under the new values. The factor contents are unspecified
     ///   afterwards; rebuild with [`SparseLu::new`] to re-pivot.
-    pub fn refactor(&mut self, a: &SparseMatrix) -> Result<(), NumericError> {
+    pub fn refactor(&mut self, a: &SparseMatrix<T>) -> Result<(), NumericError> {
         if a.rows() != self.n || a.cols() != self.n {
             return Err(NumericError::DimensionMismatch {
                 expected: self.n,
@@ -250,7 +254,7 @@ impl SparseLu {
                 "sparsity pattern differs from the factored matrix".into(),
             ));
         }
-        self.refactor_values(a.values(), &mut vec![0.0; self.n])
+        self.refactor_values(a.values(), &mut vec![T::zero(); self.n])
     }
 
     /// [`SparseLu::refactor`] without the pattern check or any allocation:
@@ -264,11 +268,7 @@ impl SparseLu {
     /// * [`NumericError::DimensionMismatch`] if `values` or `work` has the
     ///   wrong length.
     /// * [`NumericError::Singular`] as for [`SparseLu::refactor`].
-    pub fn refactor_values(
-        &mut self,
-        values: &[f64],
-        work: &mut [f64],
-    ) -> Result<(), NumericError> {
+    pub fn refactor_values(&mut self, values: &[T], work: &mut [T]) -> Result<(), NumericError> {
         if values.len() != self.a_row_idx.len() {
             return Err(NumericError::DimensionMismatch {
                 expected: self.a_row_idx.len(),
@@ -293,9 +293,9 @@ impl SparseLu {
                 let pos = self.u_row_idx[k];
                 let r = self.perm[pos];
                 let xr = work[r];
-                work[r] = 0.0;
+                work[r] = T::zero();
                 self.u_values[k] = xr;
-                if xr == 0.0 {
+                if xr == T::zero() {
                     continue;
                 }
                 for i in self.l_col_ptr[pos]..self.l_col_ptr[pos + 1] {
@@ -304,16 +304,16 @@ impl SparseLu {
             }
             let pivot_row = self.perm[col];
             let pivot_val = work[pivot_row];
-            work[pivot_row] = 0.0;
-            if pivot_val.abs() < PIVOT_EPS {
-                work.fill(0.0);
+            work[pivot_row] = T::zero();
+            if pivot_val.magnitude() < PIVOT_EPS {
+                work.fill(T::zero());
                 return Err(NumericError::Singular { pivot: col });
             }
             self.u_values[uhi - 1] = pivot_val;
             for i in self.l_col_ptr[col]..self.l_col_ptr[col + 1] {
                 let r = self.l_row_idx[i];
                 self.l_values[i] = work[r] / pivot_val;
-                work[r] = 0.0;
+                work[r] = T::zero();
             }
         }
         Ok(())
@@ -334,9 +334,9 @@ impl SparseLu {
     /// # Errors
     ///
     /// Returns [`NumericError::DimensionMismatch`] if `b.len() != dim()`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericError> {
-        let mut x = vec![0.0; self.n];
-        self.solve_into(b, &mut vec![0.0; self.n], &mut x)?;
+    pub fn solve(&self, b: &[T]) -> Result<Vec<T>, NumericError> {
+        let mut x = vec![T::zero(); self.n];
+        self.solve_into(b, &mut vec![T::zero(); self.n], &mut x)?;
         Ok(x)
     }
 
@@ -347,12 +347,7 @@ impl SparseLu {
     ///
     /// Returns [`NumericError::DimensionMismatch`] if `b`, `scratch` or `x`
     /// is not of length `dim()`.
-    pub fn solve_into(
-        &self,
-        b: &[f64],
-        scratch: &mut [f64],
-        x: &mut [f64],
-    ) -> Result<(), NumericError> {
+    pub fn solve_into(&self, b: &[T], scratch: &mut [T], x: &mut [T]) -> Result<(), NumericError> {
         for len in [b.len(), scratch.len(), x.len()] {
             if len != self.n {
                 return Err(NumericError::DimensionMismatch {
@@ -367,7 +362,7 @@ impl SparseLu {
         y.copy_from_slice(b);
         for k in 0..self.n {
             let yk = y[self.perm[k]];
-            if yk == 0.0 {
+            if yk == T::zero() {
                 continue;
             }
             let (lo, hi) = (self.l_col_ptr[k], self.l_col_ptr[k + 1]);
@@ -385,7 +380,7 @@ impl SparseLu {
             let diag = self.u_values[hi - 1];
             let xk = x[k] / diag;
             x[k] = xk;
-            if xk == 0.0 {
+            if xk == T::zero() {
                 continue;
             }
             for i in lo..(hi - 1) {
@@ -399,7 +394,9 @@ impl SparseLu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
     use crate::sparse::TripletBuilder;
+    use crate::Complex64;
 
     fn dense_to_builder(rows: &[&[f64]]) -> TripletBuilder {
         let mut b = TripletBuilder::new(rows.len(), rows[0].len());
@@ -482,7 +479,7 @@ mod tests {
 
     #[test]
     fn rejects_non_square() {
-        let b = TripletBuilder::new(2, 3);
+        let b = TripletBuilder::<f64>::new(2, 3);
         assert!(matches!(
             SparseLu::new(&b.to_csc()),
             Err(NumericError::DimensionMismatch { .. })
@@ -545,6 +542,54 @@ mod tests {
         }
     }
 
+    /// Dense oracle: Gaussian elimination with partial pivoting on the
+    /// entries of `a`, solving `a·x = b` with no code shared with
+    /// [`SparseLu`].
+    #[allow(clippy::needless_range_loop)]
+    fn dense_solve<T: Scalar>(a: &SparseMatrix<T>, b: &[T]) -> Vec<T> {
+        let n = b.len();
+        let mut m = vec![vec![T::zero(); n]; n];
+        for col in 0..n {
+            for (row, v) in a.col_iter(col) {
+                m[row][col] = v;
+            }
+        }
+        let mut b = b.to_vec();
+        for k in 0..n {
+            let p = (k..n)
+                .max_by(|&i, &j| m[i][k].magnitude().total_cmp(&m[j][k].magnitude()))
+                .unwrap();
+            assert!(m[p][k].magnitude() > 0.0, "dense oracle: singular at {k}");
+            m.swap(k, p);
+            b.swap(k, p);
+            for i in k + 1..n {
+                let f = m[i][k] / m[k][k];
+                for j in k..n {
+                    let mkj = m[k][j];
+                    m[i][j] -= f * mkj;
+                }
+                let bk = b[k];
+                b[i] -= f * bk;
+            }
+        }
+        let mut x = vec![T::zero(); n];
+        for k in (0..n).rev() {
+            let mut sum = b[k];
+            for j in k + 1..n {
+                sum -= m[k][j] * x[j];
+            }
+            x[k] = sum / m[k][k];
+        }
+        x
+    }
+
+    /// Max-norm of `a − b` relative to the max-norm of `b`.
+    fn rel_diff<T: Scalar>(a: &[T], b: &[T]) -> f64 {
+        let max = |v: &[T]| v.iter().fold(0.0f64, |m, x| m.max(x.magnitude()));
+        let diff: Vec<T> = a.iter().zip(b).map(|(&x, &y)| x - y).collect();
+        max(&diff) / max(b)
+    }
+
     /// A random MNA-like system: `nodes` node rows with a symmetric,
     /// diagonally dominant conductance block, then `branches` voltage
     /// source rows that tie distinct nodes (`branches <= nodes`) to
@@ -604,8 +649,6 @@ mod tests {
 
     #[test]
     fn in_place_path_matches_dense_lu_on_mna_like_systems() {
-        use crate::dense::DenseMatrix;
-        use crate::lu::LuFactor;
         let mut next = uniform(0x0bad_cafe_2026_0417);
         let norm = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
         for trial in 0..40 {
@@ -625,15 +668,8 @@ mod tests {
             let rhs: Vec<f64> = (0..n).map(|_| next()).collect();
             lu.solve_into(&rhs, &mut scratch, &mut xs).unwrap();
 
-            let mut dense = DenseMatrix::zeros(n, n);
-            for col in 0..n {
-                for (row, v) in a.col_iter(col) {
-                    dense[(row, col)] = v;
-                }
-            }
-            let xd = LuFactor::new(&dense).unwrap().solve(&rhs).unwrap();
-            let diff: Vec<f64> = xs.iter().zip(&xd).map(|(s, d)| s - d).collect();
-            let rel = norm(&diff) / norm(&xd);
+            let xd = dense_solve(&a, &rhs);
+            let rel = rel_diff(&xs, &xd);
             assert!(
                 rel <= 1e-12,
                 "trial {trial} (n={n}): relative difference {rel:e}"
@@ -646,6 +682,55 @@ mod tests {
                 .map(|(ax, b)| ax - b)
                 .collect();
             assert!(norm(&r) <= 1e-12 * norm(&rhs), "trial {trial}: residual");
+        }
+    }
+
+    /// The complex instantiation — the AC path — agrees with the dense
+    /// oracle on MNA-like admittance systems, both freshly factored and
+    /// refactored onto the values of another frequency.
+    #[test]
+    fn complex_new_and_refactor_match_dense_on_mna_like_systems() {
+        let mut next = uniform(0xac5e_ed00_1994_0612);
+        // Conductances gain a susceptance ωC; branch incidences stay real.
+        let admittance = |real: &SparseMatrix, omega: f64, next: &mut dyn FnMut() -> f64| {
+            let n = real.rows();
+            let mut t = TripletBuilder::new(n, n);
+            for col in 0..n {
+                for (row, g) in real.col_iter(col) {
+                    let y = if g != 0.0 && g.abs() != 1.0 {
+                        Complex64::new(g, omega * 1e-3 * (1.0 + next()))
+                    } else {
+                        Complex64::from_real(g)
+                    };
+                    t.push(row, col, y);
+                }
+            }
+            t.to_csc()
+        };
+        for trial in 0..30 {
+            let (nodes, branches) = (3 + trial % 17, 1 + trial % 4);
+            let n = nodes + branches;
+            let real = mna_like(&mut next, nodes, branches).to_csc();
+            let a1 = admittance(&real, 0.5, &mut next);
+            let a2 = admittance(&real, 40.0, &mut next);
+            assert!(a1.same_pattern(&a2));
+            let rhs: Vec<Complex64> = (0..n).map(|_| Complex64::new(next(), next())).collect();
+
+            let mut lu = SparseLu::new(&a1).unwrap();
+            let x1 = lu.solve(&rhs).unwrap();
+            let rel = rel_diff(&x1, &dense_solve(&a1, &rhs));
+            assert!(rel <= 1e-12, "trial {trial} (n={n}) new: {rel:e}");
+
+            let mut work = vec![Complex64::ZERO; n];
+            let (mut scratch, mut x2) = (vec![Complex64::ZERO; n], vec![Complex64::ZERO; n]);
+            lu.refactor_values(a2.values(), &mut work).unwrap();
+            assert!(
+                work.iter().all(|&w| w == Complex64::ZERO),
+                "work left dirty"
+            );
+            lu.solve_into(&rhs, &mut scratch, &mut x2).unwrap();
+            let rel = rel_diff(&x2, &dense_solve(&a2, &rhs));
+            assert!(rel <= 1e-12, "trial {trial} (n={n}) refactor: {rel:e}");
         }
     }
 
@@ -737,28 +822,47 @@ mod tests {
 
     #[test]
     fn matches_dense_on_random_systems() {
-        use crate::dense::DenseMatrix;
-        use crate::lu::LuFactor;
         let mut next = uniform(0xdeadbeefcafef00d);
         for n in [3usize, 8, 16] {
-            let mut dm = DenseMatrix::zeros(n, n);
             let mut tb = TripletBuilder::new(n, n);
             for i in 0..n {
                 for j in 0..n {
                     // ~40% sparsity plus strong diagonal.
                     let v = next();
                     if i == j || v.abs() > 0.3 {
-                        let val = if i == j { v + 3.0 } else { v };
-                        dm[(i, j)] = val;
-                        tb.push(i, j, val);
+                        tb.push(i, j, if i == j { v + 3.0 } else { v });
                     }
                 }
             }
+            let m = tb.to_csc();
             let rhs: Vec<f64> = (0..n).map(|_| next()).collect();
-            let xd = LuFactor::new(&dm).unwrap().solve(&rhs).unwrap();
-            let xs = SparseLu::new(&tb.to_csc()).unwrap().solve(&rhs).unwrap();
+            let xd = dense_solve(&m, &rhs);
+            let xs = SparseLu::new(&m).unwrap().solve(&rhs).unwrap();
             for (a, b) in xd.iter().zip(&xs) {
                 assert!((a - b).abs() < 1e-9, "n={n}: {a} vs {b}");
+            }
+        }
+        // Fully dense, diagonally dominant 4×4 systems: the dense solution
+        // has a small residual and the sparse one agrees with it.
+        let mut rng = Rng::new(0x11);
+        for _ in 0..64 {
+            let n = 4;
+            let mut tb = TripletBuilder::new(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    let e = rng.range(-1.0, 1.0);
+                    tb.push(i, j, if i == j { e + 4.0 } else { e });
+                }
+            }
+            let m = tb.to_csc();
+            let rhs: Vec<f64> = (0..n).map(|_| rng.range(-10.0, 10.0)).collect();
+            let xd = dense_solve(&m, &rhs);
+            let xs = SparseLu::new(&m).unwrap().solve(&rhs).unwrap();
+            for (r, b) in m.mul_vec(&xd).unwrap().iter().zip(&rhs) {
+                assert!((r - b).abs() < 1e-8);
+            }
+            for (a, b) in xd.iter().zip(&xs) {
+                assert!((a - b).abs() < 1e-8);
             }
         }
     }

@@ -1,14 +1,17 @@
 //! AC small-signal analysis.
 //!
 //! Linearizes the circuit about its DC operating point and solves the
-//! complex MNA system at each frequency. Sources marked with an AC magnitude
+//! complex MNA system at each frequency, on the same fixed-pattern assembly
+//! and sparse LU (full factorization once, numeric refactorization after)
+//! as the real-valued analyses. Sources marked with an AC magnitude
 //! (see [`crate::devices::vsource::Vsource::with_ac`]) provide the stimulus.
 
+use crate::analysis::engine::factor;
 use crate::circuit::{Circuit, NodeId};
 use crate::device::AcStamper;
 use crate::options::SimStats;
 use crate::SimError;
-use gabm_numeric::{Complex64, LuFactor};
+use gabm_numeric::Complex64;
 
 /// Frequency grid of an AC sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,7 +171,12 @@ pub(crate) fn solve_ac(circuit: &mut Circuit, spec: &AcSpec) -> Result<AcResult,
     let mut stats = op.stats;
     let n_nodes = circuit.n_nodes();
     let n_branches = circuit.n_branches();
+    let n = n_nodes + n_branches;
     let mut stamper = AcStamper::new(n_nodes, n_branches, 0.0);
+    // Factored in full at the first point, refactored numerically at every
+    // later one (the pattern is frequency-independent).
+    let mut lu = None;
+    let (mut work, mut scratch) = (vec![Complex64::ZERO; n], vec![Complex64::ZERO; n]);
     let mut solutions = Vec::with_capacity(freqs.len());
     for &f in &freqs {
         let omega = 2.0 * std::f64::consts::PI * f;
@@ -177,10 +185,12 @@ pub(crate) fn solve_ac(circuit: &mut Circuit, spec: &AcSpec) -> Result<AcResult,
             d.stamp_ac(&mut stamper);
         }
         stats.device_evals += 1;
+        let grows = stamper.grows_pattern();
         let (mat, rhs) = stamper.finish();
-        let lu = LuFactor::new(mat)?;
-        stats.factorizations += 1;
-        solutions.push(lu.solve(rhs)?);
+        let factors = factor(&mut lu, mat, grows, &mut work, circuit, &mut stats)?;
+        let mut x = vec![Complex64::ZERO; n];
+        factors.solve_into(rhs, &mut scratch, &mut x)?;
+        solutions.push(x);
     }
     stats.wall_s = wall_start.elapsed().as_secs_f64();
     Ok(AcResult {
@@ -283,5 +293,36 @@ mod tests {
             .unwrap();
         let vo = r.voltage_at(0, o).abs();
         assert!((vo - 3.162).abs() < 0.05, "peak gain {vo}");
+    }
+
+    #[test]
+    fn singular_ac_matrix_names_the_unknown() {
+        use crate::devices::isource::Isource;
+        // A lossless parallel LC tank at resonance, f = 1/(2π): the node
+        // admittance jωC + 1/(jωL) vanishes, so the AC matrix is singular.
+        let mut c = Circuit::new();
+        let t = c.node("tank");
+        c.add_device(Box::new(
+            Isource::new("I1", t, Circuit::GROUND, SourceWave::dc(0.0)).with_ac(1.0),
+        ))
+        .unwrap();
+        c.add_inductor("L1", t, Circuit::GROUND, 1.0).unwrap();
+        c.add_capacitor("C1", t, Circuit::GROUND, 1.0);
+        let f0 = 1.0 / (2.0 * std::f64::consts::PI);
+        let err = c
+            .ac(&AcSpec {
+                sweep: AcSweep::List(vec![f0]),
+            })
+            .unwrap_err();
+        match err {
+            SimError::SingularMatrix { detail } => {
+                assert!(
+                    detail == "node 'tank'" || detail == "branch current of L1",
+                    "detail: {detail}"
+                );
+                assert!(!detail.contains("pivot"), "detail: {detail}");
+            }
+            other => panic!("expected a singular matrix, got {other:?}"),
+        }
     }
 }

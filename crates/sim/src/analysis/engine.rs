@@ -1,11 +1,12 @@
-//! The damped Newton–Raphson core shared by all real-valued analyses.
+//! The damped Newton–Raphson core shared by all real-valued analyses, and
+//! the factorization step it shares with AC.
 
 use crate::circuit::Circuit;
 use crate::device::{Mode, Stamper};
 use crate::options::SimStats;
 use crate::SimError;
 use gabm_numeric::newton::damp_update;
-use gabm_numeric::SparseLu;
+use gabm_numeric::{NumericError, Scalar, SparseLu, SparseMatrix};
 
 /// Result of one Newton solve.
 #[derive(Debug, Clone)]
@@ -117,7 +118,7 @@ fn newton_iterate(
 ) -> Result<NewtonOutcome, SimError> {
     debug_assert_eq!(x0.len(), ws.x.len(), "initial guess length mismatch");
     let opts = &circuit.options;
-    let (gmin, vt, reuse_lu) = (opts.gmin, opts.thermal_voltage(), opts.reuse_lu);
+    let (gmin, vt) = (opts.gmin, opts.thermal_voltage());
     let (tolerances, max_voltage_step) = (opts.tolerances, opts.max_voltage_step);
     let nonlinear = circuit.is_nonlinear();
     let max_iters = if nonlinear { opts.max_newton_iters } else { 1 };
@@ -141,35 +142,7 @@ fn newton_iterate(
         let limited = stamper.was_limited();
         let grows = stamper.grows_pattern();
         let (mat, rhs) = stamper.finish();
-        // Numeric-only refactorization while the pattern holds; a grown
-        // pattern, or a pivot collapsing under the frozen order, takes a
-        // full re-pivoting factorization.
-        let refactored = match &mut ws.lu {
-            Some(lu) if reuse_lu && !grows => {
-                lu.refactor_values(mat.values(), &mut ws.work).is_ok()
-            }
-            _ => false,
-        };
-        if refactored {
-            stats.refactorizations += 1;
-            gabm_trace::add("sim.lu.refactor", 1);
-        } else {
-            if grows {
-                gabm_trace::add("sim.lu.pattern_grow", 1);
-            }
-            stats.factorizations += 1;
-            gabm_trace::add("sim.lu.full", 1);
-            // A failed factorization leaves nothing valid to refactor.
-            ws.lu = None;
-            let lu = SparseLu::new(mat).map_err(|e| match e {
-                gabm_numeric::NumericError::Singular { pivot } => SimError::SingularMatrix {
-                    detail: unknown_name(circuit, pivot),
-                },
-                other => SimError::from(other),
-            })?;
-            ws.lu = Some(lu);
-        }
-        let lu = ws.lu.as_ref().expect("factorized above");
+        let lu = factor(&mut ws.lu, mat, grows, &mut ws.work, circuit, stats)?;
         lu.solve_into(rhs, &mut ws.scratch, &mut ws.x_new)?;
         stats.newton_iterations += 1;
         if !nonlinear {
@@ -200,6 +173,55 @@ fn newton_iterate(
         analysis: "newton",
         detail: format!("no convergence in {max_iters} iterations"),
     })
+}
+
+/// Factors an assembled system into `lu`. Newton iterations (real) and AC
+/// frequency points (complex) both go through here.
+///
+/// While the pattern holds (`grows` is false) and
+/// [`Options::reuse_lu`](crate::options::Options::reuse_lu) is on, it
+/// refactors numerically against the frozen pivot order, in the
+/// caller-owned `work` (all zeros between uses). A grown pattern, or a
+/// pivot collapsing under the frozen order, takes a full re-pivoting
+/// factorization. Either way it counts into `stats` and the `sim.lu.*`
+/// trace counters.
+///
+/// # Errors
+///
+/// [`SimError::SingularMatrix`] naming the unknown without a pivot.
+pub(crate) fn factor<'a, T: Scalar>(
+    lu: &'a mut Option<SparseLu<T>>,
+    mat: &SparseMatrix<T>,
+    grows: bool,
+    work: &mut [T],
+    circuit: &Circuit,
+    stats: &mut SimStats,
+) -> Result<&'a SparseLu<T>, SimError> {
+    let refactored = match lu {
+        Some(lu) if circuit.options.reuse_lu && !grows => {
+            lu.refactor_values(mat.values(), work).is_ok()
+        }
+        _ => false,
+    };
+    if refactored {
+        stats.refactorizations += 1;
+        gabm_trace::add("sim.lu.refactor", 1);
+    } else {
+        if grows {
+            gabm_trace::add("sim.lu.pattern_grow", 1);
+        }
+        stats.factorizations += 1;
+        gabm_trace::add("sim.lu.full", 1);
+        // A failed factorization leaves nothing valid to refactor.
+        *lu = None;
+        *lu = Some(SparseLu::new(mat).map_err(|e| match e {
+            NumericError::Singular { pivot } => SimError::SingularMatrix {
+                detail: unknown_name(circuit, pivot),
+            },
+            other => SimError::from(other),
+        })?);
+    }
+    Ok(lu.as_ref().expect("factorized above"))
 }
 
 /// Human-readable name of MNA unknown `idx` (the column the sparse LU found

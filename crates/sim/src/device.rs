@@ -9,7 +9,7 @@
 
 use crate::circuit::NodeId;
 use gabm_numeric::integrate::Coefficients;
-use gabm_numeric::{Complex64, DenseMatrix, SparseMatrix, TripletBuilder};
+use gabm_numeric::{Complex64, Scalar, SparseMatrix, TripletBuilder};
 use std::fmt;
 
 /// An MNA unknown: a node voltage or a branch current.
@@ -61,24 +61,111 @@ impl Mode {
     }
 }
 
+/// The fixed-pattern accumulation both stampers share.
+///
+/// Owns the unknown numbering (ground elision, branch currents after node
+/// voltages), one CSC matrix whose pattern starts as the full diagonal and
+/// only grows, and the right-hand side. [`PatternAssembly::add`]
+/// accumulates into the value slot of an existing entry, so reassembly
+/// allocates nothing; a stamp outside the pattern is held back and merged
+/// once by `merge_pending`. A stamp keeps its slot even when its value is
+/// zero, so the sparse LU can refactor numerically whenever no device
+/// touched a new position.
+#[derive(Debug)]
+struct PatternAssembly<T: Scalar> {
+    n_nodes: usize,
+    mat: SparseMatrix<T>,
+    /// Stamps outside the pattern since the last merge, in stamp order.
+    pending: Vec<(usize, usize, T)>,
+    rhs: Vec<T>,
+}
+
+impl<T: Scalar> PatternAssembly<T> {
+    fn new(n_nodes: usize, n_branches: usize) -> Self {
+        let n = n_nodes + n_branches;
+        let mut diagonal = TripletBuilder::new(n, n);
+        for i in 0..n {
+            diagonal.push(i, i, T::zero());
+        }
+        PatternAssembly {
+            n_nodes,
+            mat: diagonal.to_csc(),
+            pending: Vec::new(),
+            rhs: vec![T::zero(); n],
+        }
+    }
+
+    /// Zeroes every matrix value and the right-hand side; the pattern stays.
+    fn reset(&mut self) {
+        self.mat.values_mut().fill(T::zero());
+        self.rhs.fill(T::zero());
+    }
+
+    fn row_of(&self, u: Unknown) -> Option<usize> {
+        match u {
+            Unknown::Node(n) => {
+                if n.is_ground() {
+                    None
+                } else {
+                    Some(n.index() - 1)
+                }
+            }
+            Unknown::Branch(b) => Some(self.n_nodes + b),
+        }
+    }
+
+    fn add(&mut self, row: Unknown, col: Unknown, val: T) {
+        if let (Some(r), Some(c)) = (self.row_of(row), self.row_of(col)) {
+            match self.mat.position(r, c) {
+                Some(k) => self.mat.values_mut()[k] += val,
+                None => self.pending.push((r, c, val)),
+            }
+        }
+    }
+
+    fn add_rhs(&mut self, row: Unknown, val: T) {
+        if let Some(r) = self.row_of(row) {
+            self.rhs[r] += val;
+        }
+    }
+
+    fn grows_pattern(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Merges the held-back stamps into the pattern.
+    fn merge_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        // Rebuild through the triplet builder: its stable sort sums the
+        // held-back stamps of one position in stamp order, from zero,
+        // exactly as in-pattern accumulation does.
+        let n = self.rhs.len();
+        let mut grown = TripletBuilder::new(n, n);
+        for col in 0..n {
+            for (row, v) in self.mat.col_iter(col) {
+                grown.push(row, col, v);
+            }
+        }
+        for &(row, col, v) in &self.pending {
+            grown.push(row, col, v);
+        }
+        self.mat = grown.to_csc();
+        self.pending.clear();
+    }
+}
+
 /// Assembly surface for one Newton iteration of a real (DC or transient)
 /// solve.
 ///
 /// The Jacobian lives in one fixed-pattern CSC matrix that is reused across
-/// iterations, solves and analyses: [`Stamper::add`] accumulates into the
-/// value slot of an existing entry, so reassembly allocates nothing. The
-/// pattern starts as the full diagonal (so gmin/gshunt stepping never
-/// changes it); a stamp outside it is held back and merged once by
-/// `finish`. The pattern only grows, and a stamp keeps its slot even when
-/// its value is zero, so the sparse LU can refactor numerically whenever
-/// no device touched a new position.
+/// iterations, solves and analyses (see `PatternAssembly`). The pattern
+/// starts as the full diagonal, so gmin/gshunt stepping never changes it;
+/// a stamp outside it is merged once by `finish`.
 #[derive(Debug)]
 pub struct Stamper {
-    n_nodes: usize,
-    mat: SparseMatrix,
-    /// Stamps outside the pattern since the last `finish`, in stamp order.
-    pending: Vec<(usize, usize, f64)>,
-    rhs: Vec<f64>,
+    asm: PatternAssembly<f64>,
     x: Vec<f64>,
     /// Analysis mode of this solve.
     pub mode: Mode,
@@ -98,17 +185,9 @@ impl Stamper {
     /// Creates a stamper for `n_nodes` node voltages plus `n_branches`
     /// branch currents, with the diagonal as the initial pattern.
     pub fn new(n_nodes: usize, n_branches: usize, mode: Mode) -> Self {
-        let n = n_nodes + n_branches;
-        let mut diagonal = TripletBuilder::new(n, n);
-        for i in 0..n {
-            diagonal.push(i, i, 0.0);
-        }
         Stamper {
-            n_nodes,
-            mat: diagonal.to_csc(),
-            pending: Vec::new(),
-            rhs: vec![0.0; n],
-            x: vec![0.0; n],
+            asm: PatternAssembly::new(n_nodes, n_branches),
+            x: vec![0.0; n_nodes + n_branches],
             mode,
             gmin: 1e-12,
             vt: 0.02585,
@@ -120,35 +199,21 @@ impl Stamper {
 
     /// Total number of unknowns.
     pub fn n_unknowns(&self) -> usize {
-        self.rhs.len()
+        self.x.len()
     }
 
     /// Number of node-voltage unknowns.
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.asm.n_nodes
     }
 
     /// Resets matrix, right-hand side and the limiting flag; loads the
     /// iterate `x` the devices will linearize around.
     pub fn reset(&mut self, x: &[f64], mode: Mode) {
-        self.mat.values_mut().fill(0.0);
-        self.rhs.fill(0.0);
+        self.asm.reset();
         self.x.copy_from_slice(x);
         self.mode = mode;
         self.limited = false;
-    }
-
-    fn row_of(&self, u: Unknown) -> Option<usize> {
-        match u {
-            Unknown::Node(n) => {
-                if n.is_ground() {
-                    None
-                } else {
-                    Some(n.index() - 1)
-                }
-            }
-            Unknown::Branch(b) => Some(self.n_nodes + b),
-        }
     }
 
     /// Voltage of `node` in the current iterate (0 for ground).
@@ -162,25 +227,18 @@ impl Stamper {
 
     /// Branch current `idx` in the current iterate.
     pub fn branch_current(&self, idx: usize) -> f64 {
-        self.x[self.n_nodes + idx]
+        self.x[self.asm.n_nodes + idx]
     }
 
     /// Adds `val` to the Jacobian entry `(row, col)`, silently skipping
     /// ground rows/columns.
     pub fn add(&mut self, row: Unknown, col: Unknown, val: f64) {
-        if let (Some(r), Some(c)) = (self.row_of(row), self.row_of(col)) {
-            match self.mat.position(r, c) {
-                Some(k) => self.mat.values_mut()[k] += val,
-                None => self.pending.push((r, c, val)),
-            }
-        }
+        self.asm.add(row, col, val);
     }
 
     /// Adds `val` to the right-hand side at `row` (skipping ground).
     pub fn add_rhs(&mut self, row: Unknown, val: f64) {
-        if let Some(r) = self.row_of(row) {
-            self.rhs[r] += val;
-        }
+        self.asm.add_rhs(row, val);
     }
 
     /// Stamps a conductance `g` between nodes `a` and `b`.
@@ -212,46 +270,31 @@ impl Stamper {
     /// `true` if this assembly stamped a position outside the pattern, so
     /// `finish` will grow it (and the factorization must be redone).
     pub(crate) fn grows_pattern(&self) -> bool {
-        !self.pending.is_empty()
+        self.asm.grows_pattern()
     }
 
     /// Finishes assembly: merges stamps outside the pattern into it,
     /// applies the gmin-stepping shunt and hands the system to the linear
     /// solver.
     pub(crate) fn finish(&mut self) -> (&SparseMatrix, &[f64]) {
-        if !self.pending.is_empty() {
-            // Rebuild through the triplet builder: its stable sort sums the
-            // held-back stamps of one position in stamp order, from zero,
-            // exactly as in-pattern accumulation does.
-            let n = self.rhs.len();
-            let mut grown = TripletBuilder::new(n, n);
-            for col in 0..n {
-                for (row, v) in self.mat.col_iter(col) {
-                    grown.push(row, col, v);
-                }
-            }
-            for &(row, col, v) in &self.pending {
-                grown.push(row, col, v);
-            }
-            self.mat = grown.to_csc();
-            self.pending.clear();
-        }
+        self.asm.merge_pending();
+        let asm = &mut self.asm;
         if self.gshunt > 0.0 {
-            for i in 0..self.n_nodes {
-                let k = self.mat.position(i, i).expect("diagonal is in the pattern");
-                self.mat.values_mut()[k] += self.gshunt;
+            for i in 0..asm.n_nodes {
+                let k = asm.mat.position(i, i).expect("diagonal is in the pattern");
+                asm.mat.values_mut()[k] += self.gshunt;
             }
         }
-        (&self.mat, &self.rhs)
+        (&asm.mat, &asm.rhs)
     }
 }
 
-/// Assembly surface for a complex-valued AC small-signal solve.
+/// Assembly surface for a complex-valued AC small-signal solve, on the same
+/// fixed-pattern accumulation as [`Stamper`]: the pattern settles at the
+/// first frequency point, so every later point refactors numerically.
 #[derive(Debug)]
 pub struct AcStamper {
-    n_nodes: usize,
-    mat: DenseMatrix<Complex64>,
-    rhs: Vec<Complex64>,
+    asm: PatternAssembly<Complex64>,
     /// Angular frequency ω = 2πf of the current analysis point.
     pub omega: f64,
 }
@@ -260,49 +303,26 @@ impl AcStamper {
     /// Creates an AC stamper for the given unknown counts and angular
     /// frequency.
     pub fn new(n_nodes: usize, n_branches: usize, omega: f64) -> Self {
-        let n = n_nodes + n_branches;
         AcStamper {
-            n_nodes,
-            mat: DenseMatrix::zeros(n, n),
-            rhs: vec![Complex64::ZERO; n],
+            asm: PatternAssembly::new(n_nodes, n_branches),
             omega,
         }
     }
 
     /// Clears matrix and right-hand side for the next frequency point.
     pub fn reset(&mut self, omega: f64) {
-        self.mat.clear();
-        for r in &mut self.rhs {
-            *r = Complex64::ZERO;
-        }
+        self.asm.reset();
         self.omega = omega;
-    }
-
-    fn row_of(&self, u: Unknown) -> Option<usize> {
-        match u {
-            Unknown::Node(n) => {
-                if n.is_ground() {
-                    None
-                } else {
-                    Some(n.index() - 1)
-                }
-            }
-            Unknown::Branch(b) => Some(self.n_nodes + b),
-        }
     }
 
     /// Adds a complex admittance entry.
     pub fn add(&mut self, row: Unknown, col: Unknown, val: Complex64) {
-        if let (Some(r), Some(c)) = (self.row_of(row), self.row_of(col)) {
-            self.mat.add_at(r, c, val);
-        }
+        self.asm.add(row, col, val);
     }
 
     /// Adds to the complex right-hand side.
     pub fn add_rhs(&mut self, row: Unknown, val: Complex64) {
-        if let Some(r) = self.row_of(row) {
-            self.rhs[r] += val;
-        }
+        self.asm.add_rhs(row, val);
     }
 
     /// Stamps a complex admittance `y` between nodes `a` and `b`.
@@ -313,8 +333,16 @@ impl AcStamper {
         self.add(Unknown::Node(b), Unknown::Node(a), -y);
     }
 
-    pub(crate) fn finish(&self) -> (&DenseMatrix<Complex64>, &[Complex64]) {
-        (&self.mat, &self.rhs)
+    /// `true` if this assembly stamped a position outside the pattern.
+    pub(crate) fn grows_pattern(&self) -> bool {
+        self.asm.grows_pattern()
+    }
+
+    /// Finishes assembly: merges stamps outside the pattern into it and
+    /// hands the system to the linear solver.
+    pub(crate) fn finish(&mut self) -> (&SparseMatrix<Complex64>, &[Complex64]) {
+        self.asm.merge_pending();
+        (&self.asm.mat, &self.asm.rhs)
     }
 }
 
@@ -484,7 +512,7 @@ mod tests {
         let mut s = Stamper::new(2, 1, Mode::Dc);
         let n1 = NodeId::from_index(1);
         let n2 = NodeId::from_index(2);
-        assert_eq!(s.mat.nnz(), 3);
+        assert_eq!(s.asm.mat.nnz(), 3);
         // Diagonal stamps (and gmin-stepping shunts) fit the pattern.
         s.stamp_conductance(n1, NodeId::ground(), 1.0);
         s.gshunt = 1e-3;
@@ -559,7 +587,7 @@ mod tests {
         let n2 = NodeId::from_index(2);
         s.stamp_admittance(n1, n2, Complex64::new(0.0, 1.0));
         let (m, _) = s.finish();
-        assert_eq!(m[(0, 0)], Complex64::new(0.0, 1.0));
-        assert_eq!(m[(0, 1)], Complex64::new(0.0, -1.0));
+        assert_eq!(m.get(0, 0), Complex64::new(0.0, 1.0));
+        assert_eq!(m.get(0, 1), Complex64::new(0.0, -1.0));
     }
 }

@@ -177,7 +177,7 @@ mod tests {
         let mut s = AcStamper::new(1, 0, omega);
         c.stamp_ac(&mut s);
         let (m, _) = s.finish();
-        assert!((m[(0, 0)].im - omega * 1e-6).abs() < 1e-12);
-        assert_eq!(m[(0, 0)].re, 0.0);
+        assert!((m.get(0, 0).im - omega * 1e-6).abs() < 1e-12);
+        assert_eq!(m.get(0, 0).re, 0.0);
     }
 }

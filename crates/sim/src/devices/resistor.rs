@@ -88,6 +88,6 @@ mod tests {
         let mut s = AcStamper::new(1, 0, 1.0e3);
         r.stamp_ac(&mut s);
         let (m, _) = s.finish();
-        assert_eq!(m[(0, 0)], Complex64::from_real(0.02));
+        assert_eq!(m.get(0, 0), Complex64::from_real(0.02));
     }
 }

@@ -204,3 +204,64 @@ fn behavioural_device_ac_conductance() {
         "measured {measured:.4}, expected {expect:.4} (vd = {vd:.3}, g_ac = {g_ac:.3e})"
     );
 }
+
+/// AC oracle on the one sparse path: RC ladders of up to 512 stages, swept
+/// over nine decades, against the exact ladder recursion. The pattern is
+/// factored once at the first frequency and refactored at every other.
+#[test]
+fn rc_ladder_ac_matches_exact_recursion() {
+    use gabm_numeric::Complex64;
+    const R: f64 = 1.0e3;
+    const C: f64 = 1.0e-9;
+    let ladder = |n: usize| {
+        let mut ckt = Circuit::new();
+        let mut nodes = vec![ckt.node("in")];
+        ckt.add_device(Box::new(
+            Vsource::new("V1", nodes[0], Circuit::GROUND, SourceWave::dc(0.0)).with_ac(1.0),
+        ))
+        .unwrap();
+        for k in 0..n {
+            let next = ckt.node(&format!("n{k}"));
+            ckt.add_resistor(&format!("R{k}"), nodes[k], next, R)
+                .unwrap();
+            ckt.add_capacitor(&format!("C{k}"), next, Circuit::GROUND, C);
+            nodes.push(next);
+        }
+        (ckt, nodes)
+    };
+    for n in [16usize, 64, 256, 512] {
+        let (mut ckt, nodes) = ladder(n);
+        let r = ckt.ac(&AcSpec::decade(10, 1.0, 1.0e9)).unwrap();
+        assert_eq!(r.len(), 91);
+        let mut worst = 0.0f64;
+        for (idx, &f) in r.frequencies().iter().enumerate() {
+            // Back to front: Z_k = 1/(jωC + 1/(R + Z_{k+1})), Z_n = 1/(jωC).
+            let ycap = Complex64::new(0.0, 2.0 * std::f64::consts::PI * f * C);
+            let rr = Complex64::from_real(R);
+            let mut z = vec![Complex64::ZERO; n + 1];
+            z[n] = ycap.recip();
+            for k in (1..n).rev() {
+                z[k] = (ycap + (rr + z[k + 1]).recip()).recip();
+            }
+            // Front to back: V_k = V_{k−1}·Z_k/(R + Z_k), V_0 = 1.
+            let mut exact = vec![Complex64::ONE; n + 1];
+            for k in 1..=n {
+                exact[k] = exact[k - 1] * z[k] / (rr + z[k]);
+            }
+            let (mut err, mut norm) = (0.0f64, 0.0f64);
+            for (node, v) in nodes.iter().zip(&exact) {
+                err = err.max((r.voltage_at(idx, *node) - *v).abs());
+                norm = norm.max(v.abs());
+            }
+            worst = worst.max(err / norm);
+        }
+        assert!(worst <= 1e-11, "n={n}: max-norm relative error {worst:e}");
+        let op = ladder(n).0.op().unwrap().stats;
+        assert_eq!(r.stats.factorizations, op.factorizations + 1, "n={n}");
+        assert_eq!(
+            r.stats.refactorizations,
+            op.refactorizations + r.len() - 1,
+            "n={n}"
+        );
+    }
+}
